@@ -57,7 +57,7 @@ check: build vet fmt-check test race scenario-check
 bench:
 	$(GO) test -bench=. -benchmem -run NONE .
 
-# Just the engine hot-loop benchmarks (the pattern also matches the sharded
+# Just the engine hot-loop benchmarks (the pattern also matches the large
 # and sparse variants); BenchmarkEngineSlot and BenchmarkEngineSlotSparse
 # must report 0 allocs/op (see also TestRunSlotAllocFree and
 # TestRunSlotSparseAllocFree).
@@ -74,16 +74,15 @@ baseline:
 baseline-quick:
 	$(GO) run ./cmd/cogbench -quick -parallel 1 -bench-out BENCH_quick_baseline.json > /dev/null
 
-# Scale baseline: the E28 and E29 quick sweeps run with the sharded engine,
-# recorded as the committed reference for CI's scale smoke. The sharded scan
-# is the configuration E28 exists to protect and the event-driven wake-queue
-# is E29's, so the baseline pins their allocation and bytes-per-node
-# profiles; throughput fields are recorded and CI additionally holds E29's
+# Scale baseline: the E28 and E29 quick sweeps, recorded as the committed
+# reference for CI's scale smoke. The dense slot scan at scale is the
+# configuration E28 exists to protect and the event-driven wake-queue is
+# E29's, so the baseline pins their allocation and bytes-per-node profiles; throughput fields are recorded and CI additionally holds E29's
 # slots/sec within a generous factor of this file (a sparse engine that
 # silently fell back to dense scanning is a throughput cliff, not an
 # allocation change).
 baseline-scale:
-	$(GO) run ./cmd/cogbench -exp E28,E29 -quick -parallel 1 -shards 4 -bench-out BENCH_scale_baseline.json > /dev/null
+	$(GO) run ./cmd/cogbench -exp E28,E29 -quick -parallel 1 -bench-out BENCH_scale_baseline.json > /dev/null
 
 # Run every native fuzz target for FUZZTIME each (go test allows one -fuzz
 # pattern per package invocation). Seed corpora live under each package's

@@ -53,73 +53,41 @@ func TestRunSlotAllocFree(t *testing.T) {
 	}
 }
 
-// TestRunSlotShardedAllocFree extends the zero-allocation pin to the
-// sharded scan: once the per-shard accumulators and goroutine bodies are
-// built at Reset, a steady-state sharded RunSlot spawns its workers and
-// merges their pending actions without a single allocation, at every shard
-// count. A regression here (a closure rebuilt per slot, a pend list regrown,
-// a channel-based handoff) is exactly the kind of cost that would erase the
-// multi-core win WithShards exists for.
-func TestRunSlotShardedAllocFree(t *testing.T) {
-	for _, shards := range []int{2, 4, 8} {
-		eng := steadyStateEngine(t, sim.WithShards(shards))
-		if got := eng.Shards(); got != shards {
-			t.Fatalf("Shards() = %d, want %d", got, shards)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if err := eng.RunSlot(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("steady-state RunSlot with %d shards allocates %.2f objects/slot, want 0", shards, allocs)
-		}
-	}
-}
-
 // TestRunSlotSparseAllocFree pins the wake-queue's zero-allocation
 // property: once the heap, awake set and listen buckets are pre-sized at
 // Reset, a steady-state event-driven slot pops wakes, steps the awake few,
 // resolves their channels and re-parks them without a single allocation.
 // The workload is the census round-robin from BenchmarkEngineSlotSparse —
-// the dormancy-heavy pattern the sparse engine exists for — and the pin
-// holds at every requested shard count: sparse execution forces the scan
-// serial (Shards() == 1), and the discarded shard machinery must not leak
-// per-slot cost back in.
+// the dormancy-heavy pattern the sparse engine exists for.
 func TestRunSlotSparseAllocFree(t *testing.T) {
 	const n, c = 4096, 16
 	asn, err := assign.SharedCore(n, c, 4, 48, assign.LocalLabels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		protos := make([]sim.Protocol, n)
-		for i := range protos {
-			protos[i] = &censusNode{id: i, n: n}
-		}
-		eng, err := sim.NewEngine(asn, protos, 1, sim.WithSparse(), sim.WithShards(shards))
-		if err != nil {
+	protos := make([]sim.Protocol, n)
+	for i := range protos {
+		protos[i] = &censusNode{id: i, n: n}
+	}
+	eng, err := sim.NewEngine(asn, protos, 1, sim.WithSparse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng.Sparse() {
+		t.Fatal("engine not in sparse mode")
+	}
+	for i := 0; i < 8; i++ { // warm scratch and fill the wake-queue
+		if err := eng.RunSlot(); err != nil {
 			t.Fatal(err)
 		}
-		if !eng.Sparse() {
-			t.Fatalf("shards=%d: engine not in sparse mode", shards)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := eng.RunSlot(); err != nil {
+			t.Fatal(err)
 		}
-		if got := eng.Shards(); got != 1 {
-			t.Fatalf("shards=%d: sparse engine reports %d shards, want 1 (forced serial)", shards, got)
-		}
-		for i := 0; i < 8; i++ { // warm scratch and fill the wake-queue
-			if err := eng.RunSlot(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if err := eng.RunSlot(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("steady-state sparse RunSlot (shards=%d requested) allocates %.2f objects/slot, want 0", shards, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state sparse RunSlot allocates %.2f objects/slot, want 0", allocs)
 	}
 }
 

@@ -99,12 +99,8 @@ func BenchmarkEngineSlot(b *testing.B) {
 }
 
 // BenchmarkEngineSlotLarge measures one steady-state slot at n=10⁵ — the
-// scale regime E28 sweeps — serial and at several shard counts. On a
-// multi-core machine the sharded variants should approach a per-core
-// speedup of phase A (the protocol scan dominates at this size); on one
-// core they pin that sharding costs nearly nothing. All variants are warm:
-// scratch, shard accumulators and goroutine bodies are built before the
-// timer starts.
+// scale regime E28 sweeps, where the protocol scan dominates. The engine is
+// warm: its scratch is grown before the timer starts.
 func BenchmarkEngineSlotLarge(b *testing.B) {
 	const n, c = 100_000, 16
 	asn, err := assign.SharedCore(n, c, 4, 48, assign.LocalLabels, 1)
@@ -115,27 +111,23 @@ func BenchmarkEngineSlotLarge(b *testing.B) {
 	for i := range protos {
 		protos[i] = cogcast.New(sim.View(asn, sim.NodeID(i)), true, "m", 1)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			eng, err := sim.NewEngine(asn, protos, 1, sim.WithShards(shards))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 4; i++ { // warm scratch before measuring
-				if err := eng.RunSlot(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := eng.RunSlot(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mnodesteps/s")
-		})
+	eng, err := sim.NewEngine(asn, protos, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
+	for i := 0; i < 4; i++ { // warm scratch before measuring
+		if err := eng.RunSlot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.RunSlot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mnodesteps/s")
 }
 
 // censusNode mimics COGCOMP's phase-2 access pattern, the workload whose

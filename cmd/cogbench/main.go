@@ -81,7 +81,6 @@ type benchReport struct {
 	Trials      int           `json:"trials"`
 	Quick       bool          `json:"quick"`
 	Parallel    int           `json:"parallel"`
-	Shards      int           `json:"shards,omitempty"`
 	Sparse      bool          `json:"sparse,omitempty"`
 	Experiments []benchRecord `json:"experiments"`
 	TotalWallMS float64       `json:"total_wall_ms"`
@@ -104,7 +103,6 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (retErr error) {
 		format   = fs.String("format", "text", "output format: text, markdown or csv")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		workers  = fs.Int("parallel", 0, "trial workers per experiment (0 = GOMAXPROCS, 1 = serial); tables are identical for every value")
-		shards   = fs.Int("shards", 1, "goroutines sharding each slot's protocol scan inside the engine (1 = serial); tables are identical for every value")
 		sparse   = fs.Bool("sparse", false, "event-driven stepping: skip dormant nodes instead of scanning all n each slot (sim.WithSparse); tables are identical either way")
 		benchOut = fs.String("bench-out", "", "write a machine-readable JSON benchmark report (wall-clock, slots, allocs per experiment) to this file")
 		compare  = fs.Bool("compare", false, "compare two -bench-out reports (old.json new.json as positional args), print the per-experiment delta table, and exit non-zero on regression")
@@ -168,16 +166,13 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (retErr error) {
 		report.Parallel = parallel.DefaultWorkers()
 	}
 
-	if *shards > 1 {
-		report.Shards = *shards
-	}
 	report.Sparse = *sparse
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	cfg := exper.Config{Seed: *seed, Trials: *trials, Quick: *quick, Parallel: *workers, Check: *check, Recover: *recov, Shards: *shards, Sparse: *sparse, Context: ctx}
+	cfg := exper.Config{Seed: *seed, Trials: *trials, Quick: *quick, Parallel: *workers, Check: *check, Recover: *recov, Sparse: *sparse, Context: ctx}
 	if *traceTo != "" {
 		f, err := os.Create(*traceTo)
 		if err != nil {

@@ -246,24 +246,6 @@ func TestCompareThroughputLimits(t *testing.T) {
 	}
 }
 
-// TestShardsFlagDeterministic is the CLI face of the byte-identity
-// contract: -shards must never change a rendered table.
-func TestShardsFlagDeterministic(t *testing.T) {
-	args := func(shards string) []string {
-		return []string{"-exp", "E1", "-quick", "-trials", "2", "-format", "csv", "-shards", shards}
-	}
-	var serial, sharded bytes.Buffer
-	if err := run(args("1"), &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args("4"), &sharded); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != sharded.String() {
-		t.Errorf("tables differ across shard counts:\nserial:\n%s\nsharded:\n%s", serial.String(), sharded.String())
-	}
-}
-
 func TestCompareErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-compare", "one.json"}, &out); err == nil {

@@ -131,22 +131,6 @@ func TestRepeatParallelIdentical(t *testing.T) {
 	}
 }
 
-func TestShardsFlagIdentical(t *testing.T) {
-	// -shards splits the engine's per-slot scan; output must not change by
-	// a byte, for broadcasts and aggregations alike.
-	for _, proto := range []string{"cogcast", "cogcomp"} {
-		args := func(shards string) []string {
-			return []string{"-protocol", proto, "-n", "24", "-c", "6", "-k", "2", "-shards", shards}
-		}
-		serial := runOK(t, args("1")...)
-		for _, shards := range []string{"2", "4"} {
-			if got := runOK(t, args(shards)...); got != serial {
-				t.Errorf("%s output differs at %s shards:\nserial: %q\nsharded: %q", proto, shards, serial, got)
-			}
-		}
-	}
-}
-
 func TestRepeatUnsupportedProtocol(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-protocol", "gossip", "-n", "16", "-c", "4", "-k", "2", "-repeat", "4"}, &out); err == nil {

@@ -36,7 +36,7 @@ func runOut(t *testing.T, args ...string) string {
 
 // TestScenarioFlagByteIdentity: committed scenario files produce output
 // byte-identical to the equivalent flag invocation, and that output is
-// invariant across -shards and -parallel — the determinism contract of
+// invariant across -parallel — the determinism contract of
 // the scenario DSL.
 func TestScenarioFlagByteIdentity(t *testing.T) {
 	cases := []struct {
@@ -47,12 +47,12 @@ func TestScenarioFlagByteIdentity(t *testing.T) {
 		{
 			"../../scenarios/broadcast_baseline.yaml",
 			[]string{"-protocol", "cogcast", "-n", "64", "-c", "8", "-k", "2"},
-			[][]string{{"-protocol", "cogcast", "-n", "64", "-c", "8", "-k", "2", "-shards", "4"}},
+			nil,
 		},
 		{
-			"../../scenarios/broadcast_sharded_curve.yaml",
-			[]string{"-n", "1024", "-c", "12", "-k", "3", "-curve", "-shards", "4"},
-			[][]string{{"-n", "1024", "-c", "12", "-k", "3", "-curve", "-shards", "1"}},
+			"../../scenarios/broadcast_curve_1024.yaml",
+			[]string{"-n", "1024", "-c", "12", "-k", "3", "-curve"},
+			nil,
 		},
 		{
 			"../../scenarios/repeat_percentiles.yaml",
@@ -70,17 +70,17 @@ func TestScenarioFlagByteIdentity(t *testing.T) {
 		{
 			"../../scenarios/recover_outage_churn.yaml",
 			[]string{"-protocol", "cogcomp", "-recover", "-outage", "0.002", "-n", "48"},
-			[][]string{{"-protocol", "cogcomp", "-recover", "-outage", "0.002", "-n", "48", "-shards", "4"}},
+			nil,
 		},
 		{
 			"../../scenarios/jam_reactive_busiest.yaml",
 			[]string{"-adversary", "busiest", "-energy", "120", "-energy-slot", "3", "-n", "32", "-c", "16"},
-			[][]string{{"-adversary", "busiest", "-energy", "120", "-energy-slot", "3", "-n", "32", "-c", "16", "-shards", "4"}},
+			nil,
 		},
 		{
 			"../../scenarios/recover_phase_crasher.yaml",
 			[]string{"-protocol", "cogcomp", "-recover", "-adversary", "crasher", "-energy", "60", "-n", "48"},
-			[][]string{{"-protocol", "cogcomp", "-recover", "-adversary", "crasher", "-energy", "60", "-n", "48", "-shards", "4"}},
+			nil,
 		},
 	}
 	for _, tc := range cases {
@@ -96,37 +96,6 @@ func TestScenarioFlagByteIdentity(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestScenarioShardsFileTwin: the same scenario with engine.shards 1 and 4
-// produces byte-identical output — the file-mode form of the shards
-// invariance the flag tests pin.
-func TestScenarioShardsFileTwin(t *testing.T) {
-	dir := t.TempDir()
-	const body = `
-name: shards-twin
-topology:
-  nodes: 256
-  channels_per_node: 8
-  min_overlap: 2
-  generator: shared-core
-protocol:
-  name: cogcast
-engine:
-  shards: %SHARDS%
-`
-	var outs []string
-	for _, shards := range []string{"1", "4"} {
-		path := filepath.Join(dir, "s"+shards+".yaml")
-		doc := strings.ReplaceAll(body, "%SHARDS%", shards)
-		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, runOut(t, "run", path))
-	}
-	if outs[0] != outs[1] {
-		t.Fatalf("shards 1 vs 4 differ:\n--- shards 1\n%s--- shards 4\n%s", outs[0], outs[1])
 	}
 }
 

@@ -416,12 +416,6 @@ type BroadcastOptions struct {
 	// and any violation fails the run. Results are unchanged; runs are
 	// slower. Zero cost when false.
 	Check bool
-	// Shards splits the engine's per-slot protocol scan across that many
-	// goroutines, speeding up very large static networks on multi-core
-	// machines. Results are byte-identical at any value — shard results
-	// merge in node order and tie-break draws stay serial — and dynamic or
-	// jammed networks silently run serially. 0 or 1 means serial.
-	Shards int
 	// Sparse runs the engine in event-driven stepping mode: nodes that
 	// declare themselves dormant are skipped instead of scanned every slot,
 	// so a slot costs O(awake + deliveries) instead of Θ(n). Results are
@@ -486,7 +480,6 @@ func (nw *Network) Broadcast(opts BroadcastOptions) (*BroadcastResult, error) {
 		Trajectory:       opts.Trajectory,
 		UntilAllInformed: opts.RunToCompletion,
 		Check:            opts.Check,
-		Shards:           opts.Shards,
 		Sparse:           opts.Sparse,
 		Context:          ctx,
 	}
@@ -641,10 +634,6 @@ type AggregateOptions struct {
 	// AdversaryPerSlot caps nodes held down per slot (0 = the
 	// DefaultAdversaryPerSlot default).
 	AdversaryPerSlot int
-	// Shards splits the engine's per-slot protocol scan across that many
-	// goroutines, speeding up very large networks on multi-core machines.
-	// Results are byte-identical at any value; 0 or 1 means serial.
-	Shards int
 	// Sparse runs the engine in event-driven stepping mode: COGCOMP's
 	// census window and phase-four holding patterns leave almost every
 	// node dormant, and the sparse engine skips them instead of scanning
@@ -878,7 +867,6 @@ func (nw *Network) Aggregate(inputs []int64, opts AggregateOptions) (*AggregateR
 		MaxSlots: opts.MaxSlots,
 		Func:     f,
 		Check:    opts.Check,
-		Shards:   opts.Shards,
 		Sparse:   opts.Sparse,
 		Context:  ctx,
 	}
@@ -920,7 +908,6 @@ func (nw *Network) aggregateRecovered(ctx context.Context, inputs []int64, opts 
 		Func:       f,
 		MaxRetries: opts.MaxRetries,
 		Check:      opts.Check,
-		Shards:     opts.Shards,
 		Context:    ctx,
 	}
 	if sink != nil {
@@ -1074,7 +1061,6 @@ func (nw *Network) AggregateRounds(rounds [][]int64, opts AggregateOptions) (*Se
 	res, err := arena.RunRounds(nw.asn, sim.NodeID(opts.Source), rounds, opts.Seed, cogcomp.SessionConfig{
 		Kappa:  opts.Kappa,
 		Func:   f,
-		Shards: opts.Shards,
 		Sparse: opts.Sparse,
 	})
 	if err != nil {

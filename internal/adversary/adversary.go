@@ -11,7 +11,7 @@
 //   - A Reactive strategy turns observation history into desired actions.
 //     Strategies are pure automata: deterministic functions of
 //     (seed, budget, observed history), so runs stay reproducible at any
-//     -parallel or -shards setting.
+//     -parallel setting.
 //   - A Budget bounds the attacker's power: a per-slot action cap and a
 //     total energy reserve. Energy is charged per scheduled action-slot —
 //     one unit per jammed physical channel per slot, one unit per node
@@ -27,9 +27,9 @@
 // The driver plans eagerly: while observing slot t (on the engine's
 // goroutine, after all protocol steps resolved) it computes the budgeted
 // action for slot t+1. During slot t+1 the plan is only *read* —
-// Jammed and Up mutate nothing — so a sharded engine scan may consult the
-// schedule concurrently without races, and replaying the same observation
-// history reproduces the same actions bit-for-bit.
+// Jammed and Up mutate nothing — so the answers cannot depend on how often
+// or in what order the engine consults the schedule, and replaying the same
+// observation history reproduces the same actions bit-for-bit.
 package adversary
 
 import (
@@ -216,8 +216,8 @@ func (d *Driver) Jammed(slot int, _ sim.NodeID) []int {
 }
 
 // Up implements faults.Schedule: a node is down while it is in the
-// current slot's crash plan. It mutates nothing, so a sharded engine scan
-// may consult it concurrently for distinct nodes.
+// current slot's crash plan. It mutates nothing, so repeated lookups within
+// a slot cannot perturb the plan and a replay answers identically.
 func (d *Driver) Up(node sim.NodeID, slot int) bool {
 	if !d.crashOn || slot != d.planSlot {
 		return true

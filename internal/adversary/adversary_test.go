@@ -275,7 +275,7 @@ func TestTraceLedgerChain(t *testing.T) {
 
 // TestReplayDeterminism replays a synthetic observation history through
 // every strategy twice and demands bit-identical plans — the contract
-// that keeps sharded and parallel runs reproducible.
+// that keeps parallel runs reproducible.
 func TestReplayDeterminism(t *testing.T) {
 	history := syntheticHistory(40, 8)
 	for _, name := range Strategies() {

@@ -72,7 +72,6 @@ type Static struct {
 
 var (
 	_ sim.Assignment              = (*Static)(nil)
-	_ sim.ConcurrentAssignment    = (*Static)(nil)
 	_ sim.SlotInvariantAssignment = (*Static)(nil)
 	_ sim.ChannelBounder          = (*Static)(nil)
 )
@@ -91,11 +90,6 @@ func (s *Static) MinOverlap() int { return s.minOverlap }
 
 // ChannelSet returns node's channel set; static assignments ignore slot.
 func (s *Static) ChannelSet(node sim.NodeID, _ int) []int { return s.sets[node] }
-
-// ConcurrentChannelSet reports that ChannelSet is safe for concurrent calls:
-// a built Static is immutable, so the engine may shard its per-slot scan
-// over it.
-func (s *Static) ConcurrentChannelSet() bool { return true }
 
 // SlotInvariantChannelSet reports that ChannelSet ignores its slot argument:
 // a built Static never remaps a node, so the sparse engine may cache the

@@ -1,9 +1,8 @@
 // Package chaos injects infrastructure faults into the simulation stack —
-// contexts that cancel at exact slot counts, panicking trial closures,
-// artificially slow assignment shards — and houses the property suite that
-// asserts the resilience substrate holds up under them: no goroutine
-// leaks, no torn trace files, byte-identical output for runs that
-// complete, and deterministic cancellation errors.
+// contexts that cancel at exact slot counts and panicking trial closures —
+// and houses the property suite that asserts the resilience substrate holds
+// up under them: no goroutine leaks, no torn trace files, byte-identical
+// output for runs that complete, and deterministic cancellation errors.
 //
 // The faults here are *infrastructure* faults (the process misbehaving),
 // distinct from the *simulated* faults of package faults and the
@@ -20,8 +19,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/cogradio/crn/internal/sim"
 )
 
 // CancelAfterChecks returns a context that cancels itself after its Err
@@ -61,49 +58,6 @@ func (c *checkContext) Err() error {
 		close(c.done)
 	}
 	return context.Canceled
-}
-
-// SlowAssignment wraps an assignment with deterministic scheduler drag:
-// ChannelSet calls for nodes whose id is a multiple of Stride yield the
-// processor Yields times before answering. Under a sharded engine scan
-// this makes some shards run much slower than others — the load imbalance
-// a slow core or a noisy neighbor would cause — without changing a single
-// result byte: the wrapper adds no randomness and forwards the
-// concurrency and slot-invariance capabilities of the wrapped assignment,
-// so the engine shards exactly as it would have.
-type SlowAssignment struct {
-	sim.Assignment
-	// Stride selects the slow nodes (every Stride-th id; <= 0 slows none).
-	Stride int
-	// Yields is the number of runtime.Gosched calls per slow lookup.
-	Yields int
-}
-
-func (s *SlowAssignment) ChannelSet(node sim.NodeID, slot int) []int {
-	if s.Stride > 0 && int(node)%s.Stride == 0 {
-		for i := 0; i < s.Yields; i++ {
-			runtime.Gosched()
-		}
-	}
-	return s.Assignment.ChannelSet(node, slot)
-}
-
-// ConcurrentChannelSet forwards the wrapped assignment's concurrency
-// declaration so sharded scans stay sharded under the drag.
-func (s *SlowAssignment) ConcurrentChannelSet() bool {
-	if ca, ok := s.Assignment.(sim.ConcurrentAssignment); ok {
-		return ca.ConcurrentChannelSet()
-	}
-	return false
-}
-
-// SlotInvariantChannelSet forwards the wrapped assignment's slot-invariance
-// declaration so sparse stepping stays available under the drag.
-func (s *SlowAssignment) SlotInvariantChannelSet() bool {
-	if sa, ok := s.Assignment.(sim.SlotInvariantAssignment); ok {
-		return sa.SlotInvariantChannelSet()
-	}
-	return false
 }
 
 // LeakCheck snapshots the live goroutine count and returns a function that

@@ -46,8 +46,7 @@ func newNet(t *testing.T, seed int64) *crn.Network {
 
 // TestEngineCancelDeterministic pins the cancellation error as a pure
 // function of the cancellation slot: the same slot-exact fake context
-// yields the identical error string on every repetition and at every
-// shard count.
+// yields the identical error string on every repetition.
 func TestEngineCancelDeterministic(t *testing.T) {
 	defer chaos.LeakCheck(t)()
 	b := assign.Builder{}
@@ -56,22 +55,20 @@ func TestEngineCancelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = "sim: run canceled after 5 slots"
-	for _, shards := range []int{1, 4} {
-		for rep := 0; rep < 3; rep++ {
-			_, err := cogcast.Run(asn, 0, "m", 7, cogcast.RunConfig{
-				UntilAllInformed: true, MaxSlots: 1 << 20,
-				Shards: shards, Context: chaos.CancelAfterChecks(5),
-			})
-			if err == nil || err.Error() != want {
-				t.Fatalf("shards=%d rep=%d: error %v, want %q", shards, rep, err, want)
-			}
-			var it *sim.Interrupted
-			if !errors.As(err, &it) || it.Slots != 5 {
-				t.Fatalf("shards=%d: not an Interrupted with Slots=5: %#v", shards, err)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("shards=%d: errors.Is(err, context.Canceled) = false", shards)
-			}
+	for rep := 0; rep < 3; rep++ {
+		_, err := cogcast.Run(asn, 0, "m", 7, cogcast.RunConfig{
+			UntilAllInformed: true, MaxSlots: 1 << 20,
+			Context: chaos.CancelAfterChecks(5),
+		})
+		if err == nil || err.Error() != want {
+			t.Fatalf("rep=%d: error %v, want %q", rep, err, want)
+		}
+		var it *sim.Interrupted
+		if !errors.As(err, &it) || it.Slots != 5 {
+			t.Fatalf("rep=%d: not an Interrupted with Slots=5: %#v", rep, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("rep=%d: errors.Is(err, context.Canceled) = false", rep)
 		}
 	}
 }
@@ -79,34 +76,32 @@ func TestEngineCancelDeterministic(t *testing.T) {
 // TestBroadcastByteIdenticalWithContext asserts the acceptance criterion
 // head-on: attaching a context (that never fires) changes nothing about a
 // completing run — results and trace bytes are identical to the
-// context-free run at every shards/sparse setting.
+// context-free run with and without sparse stepping.
 func TestBroadcastByteIdenticalWithContext(t *testing.T) {
 	defer chaos.LeakCheck(t)()
-	run := func(ctx context.Context, shards int, sparse bool) (*crn.BroadcastResult, []byte) {
+	run := func(ctx context.Context, sparse bool) (*crn.BroadcastResult, []byte) {
 		var buf bytes.Buffer
 		res, err := newNet(t, 3).Broadcast(crn.BroadcastOptions{
 			Payload: "hello", Seed: 3, RunToCompletion: true, MaxSlots: 1 << 20,
-			Shards: shards, Sparse: sparse, Trace: &buf, Context: ctx,
+			Sparse: sparse, Trace: &buf, Context: ctx,
 		})
 		if err != nil {
-			t.Fatalf("shards=%d sparse=%v ctx=%v: %v", shards, sparse, ctx, err)
+			t.Fatalf("sparse=%v ctx=%v: %v", sparse, ctx, err)
 		}
 		return res, buf.Bytes()
 	}
-	for _, shards := range []int{1, 3} {
-		for _, sparse := range []bool{false, true} {
-			base, baseTrace := run(nil, shards, sparse)
-			for name, ctx := range map[string]context.Context{
-				"background":  context.Background(),
-				"never-fires": chaos.CancelAfterChecks(1 << 30),
-			} {
-				res, tr := run(ctx, shards, sparse)
-				if !reflect.DeepEqual(res, base) {
-					t.Errorf("shards=%d sparse=%v ctx=%s: result differs from context-free run", shards, sparse, name)
-				}
-				if !bytes.Equal(tr, baseTrace) {
-					t.Errorf("shards=%d sparse=%v ctx=%s: trace bytes differ from context-free run", shards, sparse, name)
-				}
+	for _, sparse := range []bool{false, true} {
+		base, baseTrace := run(nil, sparse)
+		for name, ctx := range map[string]context.Context{
+			"background":  context.Background(),
+			"never-fires": chaos.CancelAfterChecks(1 << 30),
+		} {
+			res, tr := run(ctx, sparse)
+			if !reflect.DeepEqual(res, base) {
+				t.Errorf("sparse=%v ctx=%s: result differs from context-free run", sparse, name)
+			}
+			if !bytes.Equal(tr, baseTrace) {
+				t.Errorf("sparse=%v ctx=%s: trace bytes differ from context-free run", sparse, name)
 			}
 		}
 	}
@@ -114,17 +109,17 @@ func TestBroadcastByteIdenticalWithContext(t *testing.T) {
 
 // TestScenarioRepeatByteIdentical drives the same property through the
 // scenario layer's repeated-run path: rendered output is identical with
-// and without a context at every parallel/shards/sparse combination.
+// and without a context at every parallel/sparse combination.
 func TestScenarioRepeatByteIdentical(t *testing.T) {
 	defer chaos.LeakCheck(t)()
-	render := func(ctx context.Context, workers, shards int, sparse bool) string {
+	render := func(ctx context.Context, workers int, sparse bool) string {
 		sc := &scenario.Scenario{
 			Name: "chaos", Seed: 11,
 			Topology: scenario.Topology{Nodes: 32, ChannelsPerNode: 6, MinOverlap: 2,
 				TotalChannels: 18, Generator: "shared-core", Labels: "local"},
 			Protocol: scenario.Protocol{Name: "cogcast", Payload: "INIT", Aggregate: "sum",
 				Rounds: 3, Rumors: 4},
-			Engine: scenario.Engine{Shards: shards, Sparse: sparse, Parallel: workers, Repeat: 5},
+			Engine: scenario.Engine{Sparse: sparse, Parallel: workers, Repeat: 5},
 		}
 		var buf bytes.Buffer
 		var err error
@@ -134,23 +129,21 @@ func TestScenarioRepeatByteIdentical(t *testing.T) {
 			_, err = sc.ExecuteContext(ctx, &buf)
 		}
 		if err != nil {
-			t.Fatalf("workers=%d shards=%d sparse=%v: %v", workers, shards, sparse, err)
+			t.Fatalf("workers=%d sparse=%v: %v", workers, sparse, err)
 		}
 		return buf.String()
 	}
-	base := render(nil, 1, 1, false)
+	base := render(nil, 1, false)
 	for _, workers := range []int{1, 2, 4} {
-		for _, shards := range []int{1, 2} {
-			for _, sparse := range []bool{false, true} {
-				for name, ctx := range map[string]context.Context{
-					"none":        nil,
-					"background":  context.Background(),
-					"never-fires": chaos.CancelAfterChecks(1 << 30),
-				} {
-					if got := render(ctx, workers, shards, sparse); got != base {
-						t.Errorf("workers=%d shards=%d sparse=%v ctx=%s: output differs\n--- base\n%s--- got\n%s",
-							workers, shards, sparse, name, base, got)
-					}
+		for _, sparse := range []bool{false, true} {
+			for name, ctx := range map[string]context.Context{
+				"none":        nil,
+				"background":  context.Background(),
+				"never-fires": chaos.CancelAfterChecks(1 << 30),
+			} {
+				if got := render(ctx, workers, sparse); got != base {
+					t.Errorf("workers=%d sparse=%v ctx=%s: output differs\n--- base\n%s--- got\n%s",
+						workers, sparse, name, base, got)
 				}
 			}
 		}
@@ -161,25 +154,32 @@ func TestScenarioRepeatByteIdentical(t *testing.T) {
 // whole graceful-interrupt contract: the typed error with slot-exact
 // partial progress, both sentinel matches, and a trace file that is
 // complete (end-of-stream marker present) and self-describes the
-// interrupt with a cancel event.
+// interrupt with a cancel event. The cancel slot is half the slot count of
+// an uncancelled run of the same broadcast, so the interrupt lands
+// mid-flight whatever that count is.
 func TestCancelTraceGraceful(t *testing.T) {
 	defer chaos.LeakCheck(t)()
+	opts := crn.BroadcastOptions{Payload: "x", Seed: 5, RunToCompletion: true, MaxSlots: 1 << 20}
+	full, err := newNet(t, 5).Broadcast(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelAt := max(full.Slots/2, 1)
+
 	var buf bytes.Buffer
-	_, err := newNet(t, 5).Broadcast(crn.BroadcastOptions{
-		Payload: "x", Seed: 5, RunToCompletion: true, MaxSlots: 1 << 20,
-		Trace: &buf, Context: chaos.CancelAfterChecks(4),
-	})
+	opts.Trace, opts.Context = &buf, chaos.CancelAfterChecks(cancelAt)
+	_, err = newNet(t, 5).Broadcast(opts)
 	var ie *crn.InterruptedError
 	if !errors.As(err, &ie) {
 		t.Fatalf("error %v (%T), want *crn.InterruptedError", err, err)
 	}
-	if ie.Slots != 4 || ie.Deadline {
-		t.Fatalf("InterruptedError = %+v, want Slots=4 Deadline=false", ie)
+	if ie.Slots != cancelAt || ie.Deadline {
+		t.Fatalf("InterruptedError = %+v, want Slots=%d Deadline=false", ie, cancelAt)
 	}
 	if !errors.Is(err, crn.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("sentinel mismatch: %v", err)
 	}
-	if want := "sim: run canceled after 4 slots"; err.Error() != want {
+	if want := fmt.Sprintf("sim: run canceled after %d slots", cancelAt); err.Error() != want {
 		t.Fatalf("error text %q, want %q", err.Error(), want)
 	}
 	s, serr := trace.Summarize(bytes.NewReader(buf.Bytes()))
@@ -189,8 +189,8 @@ func TestCancelTraceGraceful(t *testing.T) {
 	if !s.Complete {
 		t.Fatal("interrupted trace is missing its end-of-stream marker")
 	}
-	if s.Cancel == nil || s.Cancel.Slot != 4 || s.Cancel.A != 0 {
-		t.Fatalf("cancel event = %+v, want slot 4, deadline 0", s.Cancel)
+	if s.Cancel == nil || s.Cancel.Slot != cancelAt || s.Cancel.A != 0 {
+		t.Fatalf("cancel event = %+v, want slot %d, deadline 0", s.Cancel, cancelAt)
 	}
 }
 
@@ -300,36 +300,6 @@ func TestMidRunCancelDrains(t *testing.T) {
 	}
 }
 
-// TestSlowShardsByteIdentical runs the engine over an assignment with
-// deliberately dragging shards and asserts results match the serial,
-// undragged run byte for byte.
-func TestSlowShardsByteIdentical(t *testing.T) {
-	defer chaos.LeakCheck(t)()
-	b := assign.Builder{}
-	asn, err := b.Partitioned(64, 8, 2, assign.LocalLabels, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := cogcast.Run(asn, 0, "m", 13, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := &chaos.SlowAssignment{Assignment: asn, Stride: 7, Yields: 3}
-	for _, cfg := range []cogcast.RunConfig{
-		{UntilAllInformed: true, MaxSlots: 1 << 20, Shards: 2},
-		{UntilAllInformed: true, MaxSlots: 1 << 20, Shards: 4},
-		{UntilAllInformed: true, MaxSlots: 1 << 20, Sparse: true},
-	} {
-		res, err := cogcast.Run(slow, 0, "m", 13, cfg)
-		if err != nil {
-			t.Fatalf("shards=%d sparse=%v: %v", cfg.Shards, cfg.Sparse, err)
-		}
-		if !reflect.DeepEqual(res, base) {
-			t.Fatalf("shards=%d sparse=%v: dragged run differs from serial baseline", cfg.Shards, cfg.Sparse)
-		}
-	}
-}
-
 // TestTornTraceDetection verifies the three completeness verdicts a trace
 // reader can reach: intact (marker present and counts match), truncated
 // (marker missing — a crash or kill -9 cut the stream), and corrupted
@@ -389,7 +359,7 @@ func TestScenarioLimits(t *testing.T) {
 			TotalChannels: 18, Generator: "shared-core", Labels: "local"},
 		Protocol: scenario.Protocol{Name: "cogcast", Payload: "INIT", Aggregate: "sum",
 			Rounds: 3, Rumors: 4},
-		Engine: scenario.Engine{Shards: 1, Repeat: 1},
+		Engine: scenario.Engine{Repeat: 1},
 	}
 
 	capped := base

@@ -54,10 +54,6 @@ type RunConfig struct {
 	// validated. A violation fails the run. Disabled (the default) it costs
 	// nothing; see package invariant.
 	Check bool
-	// Shards splits the engine's per-slot protocol scan across that many
-	// goroutines (sim.WithShards). Results are byte-identical at any value;
-	// 0 or 1 means serial.
-	Shards int
 	// Sparse enables event-driven stepping (sim.WithSparse). COGCAST nodes
 	// draw a channel every slot, so they never declare dormancy; what the
 	// sparse engine still buys here is exact done-node retirement and an
@@ -159,9 +155,6 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, payload sim.Message, 
 
 	check := cfg.Check || a.forceCheck
 	a.opts = append(a.opts[:0], sim.WithCollisionModel(cfg.Collisions))
-	if cfg.Shards > 1 {
-		a.opts = append(a.opts, sim.WithShards(cfg.Shards))
-	}
 	if cfg.Sparse {
 		a.opts = append(a.opts, sim.WithSparse())
 	}

@@ -44,10 +44,6 @@ type Config struct {
 	// aggfunc.Fold ground truth. A violation fails the run. Disabled (the
 	// default) it costs nothing; see package invariant.
 	Check bool
-	// Shards splits the engine's per-slot protocol scan across that many
-	// goroutines (sim.WithShards). Results are byte-identical at any value;
-	// 0 or 1 means serial.
-	Shards int
 	// Sparse enables event-driven stepping (sim.WithSparse): nodes emit
 	// dormancy hints and the engine scans only awake nodes, which collapses
 	// the census window's Θ(n²) node-steps to O(events). Executions are
@@ -181,9 +177,6 @@ func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 
 	check := cfg.Check || a.forceCheck
 	a.engOpts = a.engOpts[:0]
-	if cfg.Shards > 1 {
-		a.engOpts = append(a.engOpts, sim.WithShards(cfg.Shards))
-	}
 	if cfg.Sparse {
 		a.engOpts = append(a.engOpts, sim.WithSparse())
 	}

@@ -31,10 +31,6 @@ type SessionConfig struct {
 	Func aggfunc.Func
 	// RoundSteps is the per-round step window (0 = n + l + 16).
 	RoundSteps int
-	// Shards splits the engine's per-slot protocol scan across that many
-	// goroutines (sim.WithShards). Results are byte-identical at any value;
-	// 0 or 1 means serial.
-	Shards int
 	// Sparse enables event-driven stepping (sim.WithSparse); see
 	// Config.Sparse. Round-finished nodes sleep to the next round boundary
 	// and phase-four holding patterns park, so a session's cost tracks its
@@ -101,9 +97,6 @@ func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int6
 	}
 
 	a.engOpts = a.engOpts[:0]
-	if cfg.Shards > 1 {
-		a.engOpts = append(a.engOpts, sim.WithShards(cfg.Shards))
-	}
 	if cfg.Sparse {
 		a.engOpts = append(a.engOpts, sim.WithSparse())
 	}

@@ -30,7 +30,6 @@ func runE30(cfg Config) ([]*Table, error) {
 		Budget:  budget,
 		Seed:    rng300(cfg.Seed),
 		Workers: cfg.workers(),
-		Shards:  cfg.Shards,
 	}
 	res, err := games.RunTournament(tour)
 	if err != nil {

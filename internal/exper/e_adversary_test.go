@@ -7,16 +7,15 @@ import (
 )
 
 // TestAdversaryTournamentDeterminism pins E30's acceptance criterion: the
-// ranked robustness tables are byte-identical at every -parallel and
-// -shards setting (trial seeds derive from the trial index alone; jammed
-// and crashed engine scans stay deterministic under sharding).
+// ranked robustness tables are byte-identical at every -parallel setting
+// (trial seeds derive from the trial index alone).
 func TestAdversaryTournamentDeterminism(t *testing.T) {
 	e, err := ByID("E30")
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(workers, shards int) string {
-		tables, err := e.Run(Config{Seed: 7, Trials: 3, Quick: true, Parallel: workers, Shards: shards})
+	render := func(workers int) string {
+		tables, err := e.Run(Config{Seed: 7, Trials: 3, Quick: true, Parallel: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,10 +27,10 @@ func TestAdversaryTournamentDeterminism(t *testing.T) {
 		}
 		return buf.String()
 	}
-	ref := render(1, 1)
-	for _, v := range []struct{ workers, shards int }{{4, 1}, {8, 1}, {1, 2}, {1, 4}, {8, 4}} {
-		if got := render(v.workers, v.shards); got != ref {
-			t.Errorf("parallel=%d shards=%d changed E30 tables:\n%s\nvs\n%s", v.workers, v.shards, got, ref)
+	ref := render(1)
+	for _, workers := range []int{4, 8} {
+		if got := render(workers); got != ref {
+			t.Errorf("parallel=%d changed E30 tables:\n%s\nvs\n%s", workers, got, ref)
 		}
 	}
 	if !strings.Contains(ref, "CONFIRMED") {

@@ -207,7 +207,7 @@ func runE27(cfg Config) ([]*Table, error) {
 				return pairResult{}, err
 			}
 			inputs := a.experInputs(p.n, ts)
-			classic, err := a.comp.Run(asn, 0, inputs, ts, cogcomp.Config{Shards: cfg.Shards, Sparse: cfg.Sparse})
+			classic, err := a.comp.Run(asn, 0, inputs, ts, cogcomp.Config{Sparse: cfg.Sparse})
 			if err != nil {
 				return pairResult{}, err
 			}

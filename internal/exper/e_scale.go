@@ -14,7 +14,7 @@ func init() {
 	register(Experiment{
 		ID:    "E28",
 		Title: "Single-trial scale: COGCAST to a million nodes, COGCOMP to its Θ(n)-slot limit",
-		Claim: "Theorem 4's Θ((c/k)·lg n) regime only separates from baselines at scale; the sharded slot engine plus the CSR membership index make a 10⁶-node COGCAST trial practical (slots grow with lg n while per-node index cost stays flat), whereas COGCOMP's Θ(n) census slots make its total work quadratic — the structural reason the epidemic primitive is the scalable one.",
+		Claim: "Theorem 4's Θ((c/k)·lg n) regime only separates from baselines at scale; the allocation-free slot engine plus the CSR membership index make a 10⁶-node COGCAST trial practical (slots grow with lg n while per-node index cost stays flat), whereas COGCOMP's Θ(n) census slots make its total work quadratic — the structural reason the epidemic primitive is the scalable one.",
 		Run:   runE28,
 	})
 }
@@ -25,7 +25,7 @@ func init() {
 // cogbench's -bench-out report records for this experiment, gated in CI
 // against BENCH_scale_baseline.json. One trial per point: at these sizes a
 // single run is the experiment, and per-point seeds are still derived from
-// the point so the table is byte-identical at any -parallel/-shards value.
+// the point so the table is byte-identical at any -parallel value.
 //
 // The COGCAST sweep runs on the partitioned (Theorem 16) topology, where
 // C = k + n·(c−k) grows with n: that is the regime where slots track
@@ -94,7 +94,7 @@ func runE28(cfg Config) ([]*Table, error) {
 			case "COGCAST":
 				budget := 64 * cogcast.SlotBound(p.n, c, k, cogcast.DefaultKappa)
 				res, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{
-					UntilAllInformed: true, MaxSlots: budget, Trace: cfg.Trace, Shards: cfg.Shards, Sparse: cfg.Sparse,
+					UntilAllInformed: true, MaxSlots: budget, Trace: cfg.Trace, Sparse: cfg.Sparse,
 				})
 				if err != nil {
 					return out, err
@@ -133,7 +133,7 @@ func runE28(cfg Config) ([]*Table, error) {
 		}
 	}
 	t.AddNote("COGCOMP stops at n=8000: its phase-2 census is n slots, so total work is Θ(n²) and a 10⁶-node run is structurally infeasible — the contrast the claim predicts")
-	t.AddNote("throughput (slots/sec, wall, bytes/node) is machine-dependent and lives in cogbench's -bench-out report (BENCH_scale_baseline.json), not in this table; -shards k speeds large points up on multi-core machines without changing a cell")
+	t.AddNote("throughput (slots/sec, wall, bytes/node) is machine-dependent and lives in cogbench's -bench-out report (BENCH_scale_baseline.json), not in this table")
 	return []*Table{t}, nil
 }
 

@@ -61,13 +61,6 @@ type Config struct {
 	// prove exactly that (E27) and to let fault experiments (E26) measure
 	// recovery itself.
 	Recover bool
-	// Shards splits every trial's per-slot protocol scan across that many
-	// goroutines inside the engine (sim.WithShards) — intra-trial
-	// parallelism, orthogonal to Parallel's across-trial workers. Tables
-	// and traces are byte-identical for every value: shard results merge in
-	// node order and the engine's tie-break draws stay serial. 0 or 1 means
-	// serial.
-	Shards int
 	// Sparse runs every trial's engine in event-driven stepping mode
 	// (sim.WithSparse): dormant nodes are skipped instead of scanned, which
 	// collapses COGCOMP's census window from Θ(n²) node-steps to O(events).
@@ -129,9 +122,6 @@ type arena struct {
 // to the classic path (TestRecoverByteIdentity pins this across the whole
 // quick suite), so flipping Recover never changes a fault-free table.
 func (a *arena) compRun(cfg Config, asn sim.Assignment, source sim.NodeID, inputs []int64, seed int64, ccfg cogcomp.Config) (*cogcomp.Result, error) {
-	if ccfg.Shards == 0 {
-		ccfg.Shards = cfg.Shards
-	}
 	ccfg.Sparse = ccfg.Sparse || cfg.Sparse
 	if !cfg.Recover {
 		return a.comp.Run(asn, source, inputs, seed, ccfg)
@@ -142,7 +132,6 @@ func (a *arena) compRun(cfg Config, asn sim.Assignment, source sim.NodeID, input
 		MaxSlots: ccfg.MaxSlots,
 		Trace:    ccfg.Trace,
 		Check:    ccfg.Check,
-		Shards:   ccfg.Shards,
 	})
 	if err != nil {
 		return nil, err

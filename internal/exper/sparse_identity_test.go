@@ -9,8 +9,7 @@ import (
 
 // TestSparseTrialByteIdentity is the experiment-level half of the
 // Config.Sparse contract: event-driven stepping must not change a rendered
-// cell anywhere in the matrix of shard counts and trial-worker counts. The
-// set mirrors shardIdentityFixed — E1 exercises COGCAST (which cannot hint
+// cell at any trial-worker count. E1 exercises COGCAST (which cannot hint
 // and gains only done-retirement), E4 the COGCOMP phases where dormancy
 // actually bites, E25 multi-round sessions with round-boundary wakes, E26
 // the crash-restart supervisor whose fault wrappers void dormancy promises
@@ -26,21 +25,19 @@ func TestSparseTrialByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			render := func(sparse bool, shards, workers int) string {
+			render := func(sparse bool, workers int) string {
 				tables, err := e.Run(Config{Seed: 7, Trials: 2, Quick: true,
-					Sparse: sparse, Shards: shards, Parallel: workers})
+					Sparse: sparse, Parallel: workers})
 				if err != nil {
-					t.Fatalf("%s sparse=%v shards=%d parallel=%d: %v", id, sparse, shards, workers, err)
+					t.Fatalf("%s sparse=%v parallel=%d: %v", id, sparse, workers, err)
 				}
 				return renderAll(t, tables)
 			}
-			want := render(false, 1, 1)
-			for _, shards := range []int{1, 4, 8} {
-				for _, workers := range []int{1, 4} {
-					if got := render(true, shards, workers); got != want {
-						t.Errorf("%s: sparse tables at shards=%d parallel=%d differ from dense serial:\n--- sparse ---\n%s\n--- dense ---\n%s",
-							id, shards, workers, got, want)
-					}
+			want := render(false, 1)
+			for _, workers := range []int{1, 4} {
+				if got := render(true, workers); got != want {
+					t.Errorf("%s: sparse tables at parallel=%d differ from dense serial:\n--- sparse ---\n%s\n--- dense ---\n%s",
+						id, workers, got, want)
 				}
 			}
 		})

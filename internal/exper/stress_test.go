@@ -16,8 +16,7 @@ import (
 func TestParallelWorkerStress(t *testing.T) {
 	all := All()
 	// The scale sweep's single trials take seconds each; three worker counts
-	// of it would dominate the race run. Its worker- and shard-identity are
-	// covered by TestAllExperimentsQuick and the sharded identity tests.
+	// of it would dominate the race run, so it is left out here.
 	for i := 0; i < len(all); i++ {
 		if all[i].ID == "E28" {
 			all = append(all[:i], all[i+1:]...)

@@ -47,14 +47,11 @@ type Tournament struct {
 	// arm inert — byte-identical to its config's "none" baseline.
 	Budget adversary.Budget
 	// Seed roots all randomness; identical configs reproduce identical
-	// results at any Workers or Shards setting.
+	// results at any Workers setting.
 	Seed int64
 	// Workers bounds concurrent trial goroutines (0 = GOMAXPROCS, 1 =
 	// serial). Results are identical for every value.
 	Workers int
-	// Shards splits each trial's per-slot protocol scan (sim.WithShards).
-	// Results are identical for every value.
-	Shards int
 }
 
 // Duel is one (protocol configuration, adversary strategy) cell of the
@@ -131,7 +128,7 @@ type tourArena struct {
 
 // RunTournament executes the full tournament: every protocol arm against
 // every strategy that can wield the arm's weapon, plus the "none"
-// baseline. Deterministic for a fixed config at any Workers/Shards value.
+// baseline. Deterministic for a fixed config at any Workers value.
 func RunTournament(cfg Tournament) (*TournamentResult, error) {
 	if cfg.Nodes < 2 || cfg.Channels < 2 {
 		return nil, fmt.Errorf("games: tournament needs nodes >= 2 and channels >= 2, got n=%d c=%d", cfg.Nodes, cfg.Channels)
@@ -238,7 +235,7 @@ func cogcastTrial(a *tourArena, cfg Tournament, strategy string, ts int64) (tria
 	}
 	var jam jamming.Jammer = jamming.NoJammer{}
 	k := 0
-	rcfg := cogcast.RunConfig{UntilAllInformed: true, Shards: cfg.Shards}
+	rcfg := cogcast.RunConfig{UntilAllInformed: true}
 	if drv != nil {
 		jam, k = drv, kJam
 		rcfg.Observer = drv
@@ -286,7 +283,7 @@ func cogcompTrial(a *tourArena, cfg Tournament, strategy string, ts int64, recov
 	}
 
 	if recover {
-		rcfg := recov.Config{Shards: cfg.Shards}
+		var rcfg recov.Config
 		if drv != nil {
 			rcfg.Schedule = drv
 			rcfg.Observer = drv
@@ -308,7 +305,7 @@ func cogcompTrial(a *tourArena, cfg Tournament, strategy string, ts int64, recov
 		return out, nil
 	}
 
-	ccfg := cogcomp.Config{Shards: cfg.Shards}
+	var ccfg cogcomp.Config
 	var wrap func(sim.NodeID, *cogcomp.Node) sim.Protocol
 	if drv != nil {
 		ccfg.Observer = drv

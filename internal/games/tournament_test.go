@@ -57,25 +57,22 @@ func TestTournamentShape(t *testing.T) {
 }
 
 // TestTournamentDeterminism pins the acceptance criterion: the ranked
-// tables are identical at any Workers and Shards setting.
+// tables are identical at any Workers setting.
 func TestTournamentDeterminism(t *testing.T) {
 	base := quickTournament()
 	ref, err := RunTournament(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, variant := range []struct {
-		workers, shards int
-	}{{1, 1}, {4, 1}, {8, 1}, {1, 2}, {1, 4}, {4, 4}} {
+	for _, workers := range []int{1, 4, 8} {
 		cfg := base
-		cfg.Workers = variant.workers
-		cfg.Shards = variant.shards
+		cfg.Workers = workers
 		got, err := RunTournament(cfg)
 		if err != nil {
-			t.Fatalf("workers=%d shards=%d: %v", variant.workers, variant.shards, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d shards=%d: tables diverge\n got %+v\nwant %+v", variant.workers, variant.shards, got, ref)
+			t.Errorf("workers=%d: tables diverge\n got %+v\nwant %+v", workers, got, ref)
 		}
 	}
 }

@@ -102,10 +102,6 @@ type Config struct {
 	// no duplicate contribution after a retry, and checkpoint-log
 	// monotonicity. A violation fails the run.
 	Check bool
-	// Shards splits the engine's per-slot protocol scan across that many
-	// goroutines (sim.WithShards). Results are byte-identical at any value;
-	// 0 or 1 means serial.
-	Shards int
 	// Context, when non-nil, is checked at every slot boundary of the
 	// supervised run (sim.WithContext): a done context stops the run with
 	// a *sim.Interrupted error. Unlike slot-budget exhaustion — which the
@@ -224,13 +220,7 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, inputs []int64, seed 
 	} else {
 		a.crashers = a.crashers[:0]
 	}
-	ccfg := cogcomp.Config{Kappa: cfg.Kappa, Func: cfg.Func, Observer: cfg.Observer, Trace: cfg.Trace, Check: cfg.Check, Shards: cfg.Shards, Context: cfg.Context}
-	if cfg.Schedule != nil && cfg.Trace != nil {
-		// Traced fault runs must stay serial: crashers emit fault/restart
-		// events from inside Step, and a sharded scan would interleave them
-		// nondeterministically in the trace.
-		ccfg.Shards = 1
-	}
+	ccfg := cogcomp.Config{Kappa: cfg.Kappa, Func: cfg.Func, Observer: cfg.Observer, Trace: cfg.Trace, Check: cfg.Check, Context: cfg.Context}
 	nodes, eng, l, err := a.comp.Prepare(asn, source, inputs, seed, ccfg, wrap)
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)

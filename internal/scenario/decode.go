@@ -282,9 +282,8 @@ func (d *decoder) decodeRoot(m map[string]any, sc *Scenario) {
 		}
 	}
 	if e := d.section(m, "", "engine"); e != nil {
-		d.checkUnknown(e, "engine", "shards", "sparse", "parallel", "repeat", "check", "trace")
+		d.checkUnknown(e, "engine", "sparse", "parallel", "repeat", "check", "trace")
 		sc.Engine = Engine{
-			Shards:   d.integer(e, "engine", "shards"),
 			Sparse:   d.boolean(e, "engine", "sparse"),
 			Parallel: d.integer(e, "engine", "parallel"),
 			Repeat:   d.integer(e, "engine", "repeat"),

@@ -34,6 +34,11 @@ func TestParseRejects(t *testing.T) {
 			`scenario: unknown field "bound" in assertions[0]`,
 		},
 		{
+			"unknown engine field",
+			"engine:\n  shards: 2\n",
+			`scenario: unknown field "shards" in engine`,
+		},
+		{
 			"string where integer expected",
 			"topology:\n  nodes: many\n",
 			`scenario: topology.nodes: want an integer, got a string`,

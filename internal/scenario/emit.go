@@ -63,7 +63,6 @@ func (sc *Scenario) Emit() []byte {
 
 	e := sc.Engine
 	w("engine:\n")
-	w("  shards: %d\n", e.Shards)
 	w("  sparse: %v\n", e.Sparse)
 	w("  parallel: %d\n", e.Parallel)
 	w("  repeat: %d\n", e.Repeat)

@@ -155,7 +155,7 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 		opts := crn.BroadcastOptions{
 			Source: crn.NodeID(sc.Protocol.Source), Payload: sc.Protocol.Payload, Seed: sc.Seed,
 			RunToCompletion: true, MaxSlots: budget, Trajectory: sc.Protocol.Curve,
-			Check: sc.Engine.Check, Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
+			Check: sc.Engine.Check, Sparse: sc.Engine.Sparse,
 			Context: ctx,
 		}
 		if traceW != nil {
@@ -191,7 +191,7 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 			Source: crn.NodeID(sc.Protocol.Source), Func: sc.Protocol.Aggregate, Seed: sc.Seed,
 			MaxSlots: sc.capSlots(sc.Protocol.MaxSlots),
 			Check:    sc.Engine.Check, Recover: sc.Recovery.Enabled, OutageRate: sc.Recovery.OutageRate,
-			Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
+			Sparse:  sc.Engine.Sparse,
 			Context: ctx,
 		}
 		if sc.Recovery.Enabled {
@@ -242,7 +242,7 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 		}
 		res, err := net.AggregateRounds(roundInputs, crn.AggregateOptions{
 			Source: crn.NodeID(sc.Protocol.Source), Func: sc.Protocol.Aggregate, Seed: sc.Seed,
-			Check: sc.Engine.Check, Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
+			Check: sc.Engine.Check, Sparse: sc.Engine.Sparse,
 			Context: ctx,
 		})
 		if err != nil {
@@ -309,7 +309,7 @@ func (sc *Scenario) runRepeated(ctx context.Context, out io.Writer, budget int) 
 			res, err := net.Broadcast(crn.BroadcastOptions{
 				Source: crn.NodeID(sc.Protocol.Source), Payload: sc.Protocol.Payload, Seed: trialSeed,
 				RunToCompletion: true, MaxSlots: budget, Check: sc.Engine.Check,
-				Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
+				Sparse:  sc.Engine.Sparse,
 				Context: ctx,
 			})
 			if err != nil {
@@ -330,7 +330,7 @@ func (sc *Scenario) runRepeated(ctx context.Context, out io.Writer, budget int) 
 				Source: crn.NodeID(sc.Protocol.Source), Func: sc.Protocol.Aggregate, Seed: trialSeed,
 				MaxSlots: sc.capSlots(sc.Protocol.MaxSlots),
 				Check:    sc.Engine.Check, Recover: sc.Recovery.Enabled, OutageRate: sc.Recovery.OutageRate,
-				Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
+				Sparse:  sc.Engine.Sparse,
 				Context: ctx,
 			}
 			if sc.Recovery.Enabled {
@@ -389,7 +389,7 @@ func (sc *Scenario) executeExperiment(ctx context.Context, out io.Writer) (*Outc
 	cfg := exper.Config{
 		Seed: sc.Seed, Trials: sc.Experiment.Trials, Quick: sc.Experiment.Quick,
 		Parallel: sc.Engine.Parallel, Check: sc.Engine.Check,
-		Recover: sc.Recovery.Enabled, Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
+		Recover: sc.Recovery.Enabled, Sparse: sc.Engine.Sparse,
 		Context: ctx,
 	}
 	tables, err := e.Run(cfg)

@@ -8,7 +8,7 @@
 // The package is the single execution path for cmd/cogsim: the flag parser
 // builds a Scenario in memory and file mode loads one from disk, so a
 // scenario run is byte-identical to the equivalent flag-driven run by
-// construction — at any -parallel or -shards count, with or without
+// construction — at any -parallel count, with or without
 // tracing. Every field maps onto an existing surface (crn.Spec,
 // crn.BroadcastOptions/AggregateOptions, exper.Config, the faults and
 // jamming adversaries); the DSL adds no semantics of its own.
@@ -100,13 +100,9 @@ type Protocol struct {
 }
 
 // Engine carries execution options. None of them changes results: repeat
-// and parallel fan runs out deterministically, shards splits the per-slot
-// scan with byte-identical merging, check attaches the invariant oracle,
-// trace records a JSONL stream without perturbing the run.
+// and parallel fan runs out deterministically, check attaches the invariant
+// oracle, trace records a JSONL stream without perturbing the run.
 type Engine struct {
-	// Shards splits each slot's protocol scan across goroutines
-	// (default 1 = serial).
-	Shards int
 	// Sparse enables event-driven stepping: dormant nodes are skipped
 	// instead of scanned every slot (sim.WithSparse). Results are
 	// byte-identical either way; checked/traced and dynamic/jammed runs
@@ -300,9 +296,6 @@ func (sc *Scenario) Normalize() {
 		p.Rumors = 4
 	}
 	e := &sc.Engine
-	if e.Shards == 0 {
-		e.Shards = 1
-	}
 	if e.Repeat == 0 {
 		e.Repeat = 1
 	}

@@ -186,9 +186,6 @@ func (sc *Scenario) validateLimits() error {
 
 func (sc *Scenario) validateEngine() error {
 	e := sc.Engine
-	if e.Shards < 1 {
-		return fmt.Errorf("scenario: engine.shards: %d out of range (want >= 1)", e.Shards)
-	}
 	if e.Parallel < 0 {
 		return fmt.Errorf("scenario: engine.parallel: %d out of range (want >= 0)", e.Parallel)
 	}

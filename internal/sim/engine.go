@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"github.com/cogradio/crn/internal/rng"
@@ -76,19 +75,6 @@ type Engine struct {
 	active     []int      // physical channels touched this slot (unordered)
 	outScratch []ChannelOutcome
 
-	// Sharded phase-A scan (WithShards). shards is the requested shard
-	// count; effShards is the count actually used after clamping to the node
-	// count and gating on ConcurrentAssignment. shardAcc holds one scratch
-	// accumulator per shard and shardFns the pre-built goroutine bodies, so a
-	// steady-state sharded slot spawns goroutines without allocating
-	// closures. scanSlot carries the slot number into the workers.
-	shards    int
-	effShards int
-	shardAcc  []shardScan
-	shardFns  []func()
-	shardWG   sync.WaitGroup
-	scanSlot  int
-
 	// Event-driven stepping (WithSparse). sparseReq is the requested mode;
 	// sp holds the wake-queue state and is live only while sp.on (see
 	// sparse.go for the gating rules). audit, when set, receives the sparse
@@ -96,29 +82,6 @@ type Engine struct {
 	sparseReq bool
 	audit     WakeAuditor
 	sp        sparseState
-}
-
-// shardScan is the per-shard scratch of the sharded phase-A scan: the node
-// range [lo, hi), the pending (node, physical channel, op) triples collected
-// in node-ascending order, and the shard's partial aggregates. pend is kept
-// across slots so the steady state appends into pre-grown backing.
-type shardScan struct {
-	lo, hi     int
-	pend       []pendingAct
-	broadcasts int
-	errNode    int
-	err        error
-}
-
-// pendingAct records one non-idle action discovered by a shard, to be merged
-// into the global per-channel buckets serially. Buffering flat triples
-// instead of per-shard dense buckets keeps shard scratch O(nodes/shard)
-// rather than O(channels) — partitioned assignments make C grow with n, and
-// a per-shard dense copy would multiply that by the shard count.
-type pendingAct struct {
-	node NodeID
-	phys int
-	op   Op
 }
 
 // slotsExecuted counts every slot executed by any engine in the process; see
@@ -182,19 +145,6 @@ func WithCollisionModel(m CollisionModel) Option {
 	return func(e *Engine) { e.collisions = m }
 }
 
-// WithShards splits the per-slot protocol scan (phase A of RunSlot) across s
-// goroutines over contiguous node ranges. Results are merged in shard- and
-// hence node-ascending order, and channel resolution stays serial, so any
-// shard count produces executions byte-identical to the serial engine —
-// tables, traces and RNG streams included. Values below 1 and above the node
-// count are clamped; s > 1 takes effect only when the assignment implements
-// ConcurrentAssignment and reports a concurrency-safe ChannelSet, otherwise
-// the engine silently runs serially (which is byte-identical anyway).
-// Default 1 (serial).
-func WithShards(s int) Option {
-	return func(e *Engine) { e.shards = s }
-}
-
 // NewEngine creates an engine over the given assignment and one protocol per
 // node. len(nodes) must equal asn.Nodes(). The seed determines all collision
 // tie-breaking; protocols are expected to derive their own streams from the
@@ -241,7 +191,6 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 	e.slot = 0
 	e.obs = nil
 	e.ctx = nil
-	e.shards = 1
 	e.sparseReq = false
 	e.audit = nil
 	if cap(e.acts) < len(nodes) {
@@ -264,71 +213,13 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 	for _, opt := range opts {
 		opt(e)
 	}
-	e.configureShards()
 	e.configureSparse()
 	nodesSimulated.Add(int64(len(nodes)))
 	return nil
 }
 
-// configureShards resolves the requested shard count against the node count
-// and the assignment's concurrency contract, then (re)builds the per-shard
-// accumulators and goroutine bodies. Shard ranges are contiguous and cover
-// [0, n) in order; pend capacity is pre-sized to the range width so the
-// first slots do not regrow it node by node.
-func (e *Engine) configureShards() {
-	s := e.shards
-	n := len(e.nodes)
-	if s < 1 {
-		s = 1
-	}
-	if s > n {
-		s = n
-	}
-	if s > 1 {
-		ca, ok := e.asn.(ConcurrentAssignment)
-		if !ok || !ca.ConcurrentChannelSet() {
-			s = 1
-		}
-	}
-	e.effShards = s
-	if s <= 1 {
-		return
-	}
-	if cap(e.shardAcc) < s {
-		e.shardAcc = make([]shardScan, s)
-		e.shardFns = make([]func(), s)
-	}
-	e.shardAcc = e.shardAcc[:s]
-	e.shardFns = e.shardFns[:s]
-	for i := 0; i < s; i++ {
-		sc := &e.shardAcc[i]
-		sc.lo = i * n / s
-		sc.hi = (i + 1) * n / s
-		if cap(sc.pend) < sc.hi-sc.lo {
-			sc.pend = make([]pendingAct, 0, sc.hi-sc.lo)
-		}
-		if e.shardFns[i] == nil {
-			idx := i
-			e.shardFns[i] = func() {
-				defer e.shardWG.Done()
-				e.scanShard(&e.shardAcc[idx], e.scanSlot)
-			}
-		}
-	}
-}
-
 // Slot returns the number of slots executed so far.
 func (e *Engine) Slot() int { return e.slot }
-
-// Shards returns the effective shard count of the phase-A scan: the value
-// requested via WithShards after clamping and concurrency gating, so 1 means
-// the scan runs serially.
-func (e *Engine) Shards() int {
-	if e.effShards < 1 {
-		return 1
-	}
-	return e.effShards
-}
 
 // Collisions returns the engine's collision model. Debug observers (the
 // invariant checker) use it to select which semantics to re-verify.
@@ -368,16 +259,8 @@ func (e *Engine) RunSlot() error {
 		return e.runSlotSparse(slot)
 	}
 
-	// Phase A: collect actions and bucket nodes by physical channel. The
-	// sharded scan fills the same buckets in the same node order as the
-	// serial one, so everything downstream is oblivious to the choice.
-	var broadcasts, maxCh int
-	var err error
-	if e.effShards > 1 {
-		broadcasts, maxCh, err = e.scanSharded(slot)
-	} else {
-		broadcasts, maxCh, err = e.scanSerial(slot)
-	}
+	// Phase A: collect actions and bucket nodes by physical channel.
+	broadcasts, maxCh, err := e.scanSerial(slot)
 	if err != nil {
 		return err
 	}
@@ -522,107 +405,6 @@ func (e *Engine) scanSerial(slot int) (broadcasts, maxCh int, err error) {
 		}
 	}
 	return broadcasts, maxCh, nil
-}
-
-// scanSharded runs phase A across effShards goroutines, each stepping a
-// contiguous node range into a private pend list, then merges the lists into
-// the global per-channel buckets in shard-ascending order. Because shard
-// ranges partition [0, n) in order and each shard appends in node order, the
-// merged bucket contents, the active-channel sequence and maxCh are exactly
-// those of scanSerial — phase B (including its RNG draws) observes no
-// difference. On error the lowest failing node index wins, matching the
-// serial scan's message; unlike the serial scan, nodes past the failing one
-// may already have stepped, but scan errors are fatal to the run so no
-// caller observes the difference.
-func (e *Engine) scanSharded(slot int) (int, int, error) {
-	e.scanSlot = slot
-	s := e.effShards
-	for i := 1; i < s; i++ {
-		e.shardWG.Add(1)
-		go e.shardFns[i]()
-	}
-	e.scanShard(&e.shardAcc[0], slot)
-	e.shardWG.Wait()
-	errNode := -1
-	var firstErr error
-	for i := 0; i < s; i++ {
-		if sc := &e.shardAcc[i]; sc.err != nil && (errNode < 0 || sc.errNode < errNode) {
-			errNode, firstErr = sc.errNode, sc.err
-		}
-	}
-	if firstErr != nil {
-		return 0, 0, firstErr
-	}
-	broadcasts := 0
-	maxCh := -1
-	for i := 0; i < s; i++ {
-		sc := &e.shardAcc[i]
-		broadcasts += sc.broadcasts
-		for _, pa := range sc.pend {
-			phys := pa.phys
-			if phys >= len(e.bcast) {
-				e.growScratch(phys + 1)
-			}
-			if !e.touched[phys] {
-				e.touched[phys] = true
-				e.active = append(e.active, phys)
-			}
-			if phys > maxCh {
-				maxCh = phys
-			}
-			if pa.op == OpListen {
-				e.listen[phys] = append(e.listen[phys], pa.node)
-			} else {
-				e.bcast[phys] = append(e.bcast[phys], pa.node)
-			}
-		}
-	}
-	return broadcasts, maxCh, nil
-}
-
-// scanShard steps the nodes of one shard, validating exactly as scanSerial
-// does and buffering non-idle actions as flat (node, phys, op) triples. It
-// writes only shard-private state and distinct e.acts elements, so shards
-// never contend.
-func (e *Engine) scanShard(sc *shardScan, slot int) {
-	sc.pend = sc.pend[:0]
-	sc.broadcasts = 0
-	sc.err = nil
-	for i := sc.lo; i < sc.hi; i++ {
-		p := e.nodes[i]
-		if p.Done() {
-			e.acts[i] = Idle()
-			continue
-		}
-		act := p.Step(slot)
-		e.acts[i] = act
-		if act.Op == OpIdle {
-			continue
-		}
-		set := e.asn.ChannelSet(NodeID(i), slot)
-		if act.Channel < 0 || act.Channel >= len(set) {
-			sc.errNode = i
-			sc.err = fmt.Errorf("sim: slot %d: node %d chose local channel %d outside [0,%d)",
-				slot, i, act.Channel, len(set))
-			return
-		}
-		phys := set[act.Channel]
-		if phys < 0 {
-			sc.errNode = i
-			sc.err = fmt.Errorf("sim: slot %d: assignment mapped node %d to negative physical channel %d", slot, i, phys)
-			return
-		}
-		switch act.Op {
-		case OpBroadcast:
-			sc.broadcasts++
-		case OpListen:
-		default:
-			sc.errNode = i
-			sc.err = fmt.Errorf("sim: slot %d: node %d produced invalid op %d", slot, i, act.Op)
-			return
-		}
-		sc.pend = append(sc.pend, pendingAct{node: NodeID(i), phys: phys, op: act.Op})
-	}
 }
 
 func (e *Engine) deliver(id NodeID, slot int, ev Event) {

@@ -16,10 +16,8 @@ package sim
 //     slot steps them again.
 //   - Sparse engages only when no Observer is attached (an observer must
 //     see silent listen-only channels the sparse scan never materializes)
-//     and the assignment is slot-invariant (SlotInvariantAssignment), and
-//     it forces the serial scan (shard counts never change output, so this
-//     is invisible). Anything else silently runs dense, which is always
-//     correct.
+//     and the assignment is slot-invariant (SlotInvariantAssignment).
+//     Anything else silently runs dense, which is always correct.
 //
 // The wake queue is a binary min-heap over packed (slot, node) entries
 // plus per-channel parked-listener lists; all of it is pre-sized at Reset,
@@ -106,8 +104,7 @@ type sparseState struct {
 func (e *Engine) Sparse() bool { return e.sp.on }
 
 // configureSparse resolves the requested sparse mode against its gates and
-// (re)builds the wake-queue state. Runs after configureShards so it can
-// force the serial scan.
+// (re)builds the wake-queue state.
 func (e *Engine) configureSparse() {
 	sp := &e.sp
 	on := e.sparseReq && e.obs == nil && len(e.nodes) < maxSparseNodes
@@ -119,9 +116,6 @@ func (e *Engine) configureSparse() {
 	if !on {
 		return
 	}
-	// The sparse scan is serial: wake bookkeeping is cheap exactly because
-	// it is single-threaded, and shard counts never change output anyway.
-	e.effShards = 1
 	n := len(e.nodes)
 	if cap(sp.awake) < n {
 		sp.awake = make([]int32, 0, n)

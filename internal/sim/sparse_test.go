@@ -257,9 +257,8 @@ func TestSparseForeverPark(t *testing.T) {
 }
 
 // TestSparseGates pins WithSparse's resolution rules: it engages only on
-// slot-invariant assignments with no observer attached, it forces the scan
-// serial even when shards were requested, and an option-free Reset returns
-// the engine to dense.
+// slot-invariant assignments with no observer attached, and an option-free
+// Reset returns the engine to dense.
 func TestSparseGates(t *testing.T) {
 	const n = 8
 	asn := fullOverlap(t, n, 2) // *assign.Static: slot-invariant
@@ -268,12 +267,9 @@ func TestSparseGates(t *testing.T) {
 		return nodes
 	}
 
-	e := newEngine(t, asn, mkNodes(), 1, sim.WithSparse(), sim.WithShards(4))
+	e := newEngine(t, asn, mkNodes(), 1, sim.WithSparse())
 	if !e.Sparse() {
 		t.Error("WithSparse on a static assignment did not engage")
-	}
-	if got := e.Shards(); got != 1 {
-		t.Errorf("sparse engine Shards() = %d, want 1 (sparse scan is serial)", got)
 	}
 
 	// An observer forces dense: traced and checked runs must see every slot.

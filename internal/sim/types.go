@@ -192,20 +192,6 @@ type Assignment interface {
 	ChannelSet(node NodeID, slot int) []int
 }
 
-// ConcurrentAssignment is an optional Assignment interface declaring that
-// ChannelSet is safe for concurrent calls with distinct nodes — true for
-// immutable assignments (assign.Static), false for stateful ones that cache
-// or re-draw sets per call (dynamic re-draws, jamming adapters). The engine
-// shards its per-slot protocol scan (WithShards) only over assignments that
-// report true; everything else runs the serial scan regardless of the
-// requested shard count.
-type ConcurrentAssignment interface {
-	Assignment
-	// ConcurrentChannelSet reports whether ChannelSet may be called
-	// concurrently for distinct nodes without synchronization.
-	ConcurrentChannelSet() bool
-}
-
 // SlotInvariantAssignment is an optional Assignment interface declaring
 // that ChannelSet ignores its slot argument — true for immutable static
 // assignments, false for dynamic re-draws and jamming adapters whose sets
