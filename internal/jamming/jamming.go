@@ -19,6 +19,7 @@ package jamming
 
 import (
 	"fmt"
+	"math/rand"
 
 	"github.com/cogradio/crn/internal/rng"
 	"github.com/cogradio/crn/internal/sim"
@@ -54,6 +55,7 @@ type Assignment struct {
 
 	cachedSlot int
 	cached     [][]int
+	r          *rand.Rand // re-seeded to each (slot, node) shuffle stream
 	sink       trace.Sink
 }
 
@@ -131,8 +133,12 @@ func (a *Assignment) fill(slot int) {
 				set = append(set, ch)
 			}
 		}
-		r := rng.New(a.seed, int64(slot), int64(u), 0x1a3)
-		r.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
+		if a.r == nil {
+			a.r = rng.New(a.seed, int64(slot), int64(u), 0x1a3)
+		} else {
+			rng.Reseed(a.r, a.seed, int64(slot), int64(u), 0x1a3)
+		}
+		a.r.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
 		a.cached[u] = set
 	}
 	a.cachedSlot = slot
@@ -148,7 +154,8 @@ func (a *Assignment) fill(slot int) {
 type RandomJammer struct {
 	c, budget int
 	seed      int64
-	buf       []int
+	r         *rand.Rand // re-seeded to each (slot, node) stream
+	buf       []int      // the permutation of [0, c) the jammed set is cut from
 }
 
 var _ Jammer = (*RandomJammer)(nil)
@@ -156,7 +163,7 @@ var _ Jammer = (*RandomJammer)(nil)
 // NewRandomJammer builds a random jammer over c channels with the given
 // per-node budget.
 func NewRandomJammer(c, budget int, seed int64) *RandomJammer {
-	return &RandomJammer{c: c, budget: budget, seed: seed, buf: make([]int, budget)}
+	return &RandomJammer{c: c, budget: budget, seed: seed, buf: make([]int, c)}
 }
 
 // Name implements Jammer.
@@ -164,10 +171,13 @@ func (*RandomJammer) Name() string { return "random" }
 
 // Jammed implements Jammer.
 func (j *RandomJammer) Jammed(slot int, node sim.NodeID) []int {
-	r := rng.New(j.seed, int64(slot), int64(node), 0x1a4)
-	idx := r.Perm(j.c)[:j.budget]
-	copy(j.buf, idx)
-	return j.buf
+	if j.r == nil {
+		j.r = rng.New(j.seed, int64(slot), int64(node), 0x1a4)
+	} else {
+		rng.Reseed(j.r, j.seed, int64(slot), int64(node), 0x1a4)
+	}
+	j.buf = rng.PermInto(j.r, j.buf, j.c)
+	return j.buf[:j.budget]
 }
 
 // SweepJammer jams a contiguous window that slides across the spectrum,

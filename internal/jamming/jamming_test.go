@@ -217,3 +217,22 @@ func overlap(a, b []int) int {
 	}
 	return n
 }
+
+// TestAssignmentFillAllocFree pins the reuse of the assignment's shuffle
+// generator and the random jammer's generator and permutation buffer: once
+// warm, materializing a new slot for every node allocates nothing.
+func TestAssignmentFillAllocFree(t *testing.T) {
+	a, err := jamming.NewAssignment(64, 16, 3, jamming.NewRandomJammer(16, 3, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := 0
+	a.ChannelSet(0, slot)
+	allocs := testing.AllocsPerRun(50, func() {
+		slot++
+		a.ChannelSet(0, slot)
+	})
+	if allocs != 0 {
+		t.Errorf("filling a slot for 64 nodes allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -6,6 +6,21 @@
 // simple arithmetic (seed+i) produces badly correlated math/rand streams;
 // instead we mix identifiers through SplitMix64, the finalizer used to seed
 // xoshiro-family generators, which decorrelates even adjacent inputs.
+//
+// New and Reseed return math/rand generators whose draws are exactly those
+// of rand.New(rand.NewSource(Derive(seed, ids...))), the Go 1 source every
+// table, trace and golden in the repository was produced with, but seeding
+// them costs O(1): the first 273 draws after a seed come from a closed
+// form, and the source's ~5 KB register is built only for a stream that
+// draws further (see source.go).
+//
+// What the Go 1 source does not give: it keys on the seed modulo 2³¹−1, so
+// Derive's 64-bit mixing collapses to 2³¹−1 distinct streams. Among n
+// streams about n²/2³² pairs coincide: at E28's n = 10⁶ some 225 pairs of
+// nodes draw identical COGCAST streams. Removing that, the rand.Rand
+// interface call behind every draw, and the register of long-drawing
+// streams needs a different generator and so a declared change of every
+// stream.
 package rng
 
 import "math/rand"
@@ -42,13 +57,13 @@ func Uniform01(seed int64, ids ...int64) float64 {
 // generator is private to the caller and must not be shared across
 // goroutines without synchronization.
 func New(seed int64, ids ...int64) *rand.Rand {
-	return rand.New(rand.NewSource(Derive(seed, ids...)))
+	return rand.New(newSource(Derive(seed, ids...)))
 }
 
 // Reseed re-seeds r so that its subsequent draws are exactly those of a
-// fresh New(seed, ids...). Reusing one generator this way is what lets trial
-// arenas regenerate per-trial state without allocating a new ~5 KB source
-// per entity while keeping every stream byte-identical to the fresh path.
+// fresh New(seed, ids...). Re-seeding costs O(1); reusing one generator this
+// way also keeps the ~5 KB register of a stream that drew past its first 273
+// draws, so trial arenas regenerate per-trial state without allocating.
 func Reseed(r *rand.Rand, seed int64, ids ...int64) {
 	r.Seed(Derive(seed, ids...))
 }

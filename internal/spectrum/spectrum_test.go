@@ -175,3 +175,21 @@ func TestHighOccupancyStillCompletes(t *testing.T) {
 		t.Fatalf("broadcast under 90%% occupancy incomplete after %d slots", res.Slots)
 	}
 }
+
+// TestFillAllocFree pins the reuse of the model's shuffle generator: once
+// warm, materializing a new slot for every node allocates nothing.
+func TestFillAllocFree(t *testing.T) {
+	m, err := spectrum.New(defaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := 0
+	m.ChannelSet(0, slot)
+	allocs := testing.AllocsPerRun(50, func() {
+		slot++
+		m.ChannelSet(0, slot)
+	})
+	if allocs != 0 {
+		t.Errorf("filling a slot allocates %.1f objects, want 0", allocs)
+	}
+}
