@@ -1,13 +1,14 @@
 # Developer entry points. The tier-1 verification flow is:
 #
 #     make check        # build + vet + fmt + tests + race + scenario library
+#                       # + the benchmark harness (perfbench/)
 #
 # which is what CI (and reviewers) should run before merging. The scenario
 # library gate alone is `make scenario-check`.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check scenario-check chaos check bench bench-engine baseline baseline-quick baseline-scale fuzz cover clean
+.PHONY: all build test race vet fmt-check scenario-check perfbench-check chaos check bench bench-engine baseline baseline-quick baseline-scale fuzz cover clean
 
 # Per-target fuzzing budget for `make fuzz`.
 FUZZTIME ?= 30s
@@ -50,7 +51,14 @@ scenario-check:
 chaos:
 	$(GO) test -race -timeout 10m ./internal/chaos ./internal/parallel
 
-check: build vet fmt-check test race scenario-check
+# The benchmark harness is a module of its own (perfbench/go.mod), so
+# ./... above does not reach it. It builds cogcomp.Config and
+# crn.AggregateOptions literals by field name; vetting and testing it here
+# makes an API change that breaks it fail this flow, not the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet fmt-check test race scenario-check perfbench-check
 
 # Full benchmark suite (one benchmark per experiment plus the substrate
 # micro-benchmarks).

@@ -103,7 +103,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (retErr error) {
 		format   = fs.String("format", "text", "output format: text, markdown or csv")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		workers  = fs.Int("parallel", 0, "trial workers per experiment (0 = GOMAXPROCS, 1 = serial); tables are identical for every value")
-		sparse   = fs.Bool("sparse", false, "event-driven stepping: skip dormant nodes instead of scanning all n each slot (sim.WithSparse); tables are identical either way")
+		sparse   = fs.Bool("sparse", false, "event-driven stepping for the COGCOMP and session trials: skip dormant nodes instead of scanning all n each slot (sim.WithSparse); tables are identical either way")
 		benchOut = fs.String("bench-out", "", "write a machine-readable JSON benchmark report (wall-clock, slots, allocs per experiment) to this file")
 		compare  = fs.Bool("compare", false, "compare two -bench-out reports (old.json new.json as positional args), print the per-experiment delta table, and exit non-zero on regression")
 		wallLmt  = fs.Float64("wall-limit", 2.0, "with -compare: fail if total wall-clock exceeds this multiple of the old report's (<= 0 disables; wall is machine-dependent)")

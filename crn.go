@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"github.com/cogradio/crn/internal/adversary"
@@ -416,13 +417,6 @@ type BroadcastOptions struct {
 	// and any violation fails the run. Results are unchanged; runs are
 	// slower. Zero cost when false.
 	Check bool
-	// Sparse runs the engine in event-driven stepping mode: nodes that
-	// declare themselves dormant are skipped instead of scanned every slot,
-	// so a slot costs O(awake + deliveries) instead of Θ(n). Results are
-	// byte-identical at any setting; runs with Trace, Check or
-	// CollectMetrics attached, and dynamic or jammed networks, silently
-	// step densely.
-	Sparse bool
 	// Context, when non-nil, can interrupt the run. Cancellation is
 	// observed at slot boundaries and consumes no protocol randomness, so
 	// a run that completes is byte-identical to the same run without a
@@ -479,9 +473,7 @@ func (nw *Network) Broadcast(opts BroadcastOptions) (*BroadcastResult, error) {
 		MaxSlots:         opts.MaxSlots,
 		Trajectory:       opts.Trajectory,
 		UntilAllInformed: opts.RunToCompletion,
-		Check:            opts.Check,
-		Sparse:           opts.Sparse,
-		Context:          ctx,
+		Engine:           cogcast.Engine{Check: opts.Check, Context: ctx},
 	}
 	var collector *metrics.Collector
 	if opts.CollectMetrics {
@@ -501,14 +493,8 @@ func (nw *Network) Broadcast(opts BroadcastOptions) (*BroadcastResult, error) {
 		defer nw.detachTrace()
 	}
 	res, err := cogcast.Run(nw.asn, sim.NodeID(opts.Source), opts.Payload, opts.Seed, cfg)
-	if err != nil {
-		return nil, finishInterrupted(sink, err)
-	}
-	if sink != nil {
-		sink.Finish()
-		if terr := sink.Err(); terr != nil {
-			return nil, terr
-		}
+	if err := finishRun(sink, err); err != nil {
+		return nil, err
 	}
 	out := &BroadcastResult{
 		Slots:         res.Slots,
@@ -812,12 +798,21 @@ func interruptContext(ctx context.Context, deadline time.Duration) (context.Cont
 	return context.WithTimeout(ctx, deadline)
 }
 
-// finishInterrupted converts an engine interrupt into the public typed
-// error. When a trace sink is attached it records the interrupt as a
-// "cancel" event and writes the end-of-stream marker, so a gracefully
-// interrupted trace file stays parseable and self-declares completeness.
-// Non-interrupt errors pass through untouched.
-func finishInterrupted(sink *trace.JSONL, err error) error {
+// finishRun closes a run's trace and converts its error. A run that
+// completed gets the end-of-stream marker and reports any trace write
+// error. An engine interrupt becomes the public typed error; when a trace
+// sink is attached it records the interrupt as a "cancel" event and writes
+// the end-of-stream marker, so a gracefully interrupted trace file stays
+// parseable and self-declares completeness. Other errors pass through
+// untouched.
+func finishRun(sink *trace.JSONL, err error) error {
+	if err == nil {
+		if sink == nil {
+			return nil
+		}
+		sink.Finish()
+		return sink.Err()
+	}
 	var it *sim.Interrupted
 	if !errors.As(err, &it) {
 		return err
@@ -859,9 +854,6 @@ func (nw *Network) Aggregate(inputs []int64, opts AggregateOptions) (*AggregateR
 	if opts.Adversary != "" && !opts.Recover {
 		return nil, errors.New("crn: Adversary needs Recover (the classic runner has no fault injection)")
 	}
-	if opts.Recover {
-		return nw.aggregateRecovered(ctx, inputs, opts, f, sink)
-	}
 	cfg := cogcomp.Config{
 		Kappa:    opts.Kappa,
 		MaxSlots: opts.MaxSlots,
@@ -873,16 +865,19 @@ func (nw *Network) Aggregate(inputs []int64, opts AggregateOptions) (*AggregateR
 	if sink != nil {
 		cfg.Trace = sink
 	}
+	if opts.Recover {
+		return nw.aggregateRecovered(inputs, opts, cfg, sink)
+	}
 	res, err := cogcomp.Run(nw.asn, sim.NodeID(opts.Source), inputs, opts.Seed, cfg)
-	if err != nil {
-		return nil, finishInterrupted(sink, err)
+	if err := finishRun(sink, err); err != nil {
+		return nil, err
 	}
-	if sink != nil {
-		sink.Finish()
-		if terr := sink.Err(); terr != nil {
-			return nil, terr
-		}
-	}
+	return exportAggregate(res), nil
+}
+
+// exportAggregate converts a COGCOMP result to the public type; the
+// recovered runner fills in its own fields on top.
+func exportAggregate(res *cogcomp.Result) *AggregateResult {
 	out := &AggregateResult{
 		Value:          exportValue(res.Value),
 		Slots:          res.TotalSlots,
@@ -896,23 +891,13 @@ func (nw *Network) Aggregate(inputs []int64, opts AggregateOptions) (*AggregateR
 	for i, p := range res.Parents {
 		out.Parents[i] = NodeID(p)
 	}
-	return out, nil
+	return out
 }
 
 // aggregateRecovered runs the recovery supervisor for Aggregate, with
-// optional injected outages.
-func (nw *Network) aggregateRecovered(ctx context.Context, inputs []int64, opts AggregateOptions, f aggfunc.Func, sink *trace.JSONL) (*AggregateResult, error) {
-	cfg := recov.Config{
-		Kappa:      opts.Kappa,
-		MaxSlots:   opts.MaxSlots,
-		Func:       f,
-		MaxRetries: opts.MaxRetries,
-		Check:      opts.Check,
-		Context:    ctx,
-	}
-	if sink != nil {
-		cfg.Trace = sink
-	}
+// optional injected outages; ccfg is the classic run's config.
+func (nw *Network) aggregateRecovered(inputs []int64, opts AggregateOptions, ccfg cogcomp.Config, sink *trace.JSONL) (*AggregateResult, error) {
+	cfg := recov.Config{Config: ccfg, MaxRetries: opts.MaxRetries}
 	var parts []faults.Schedule
 	if opts.OutageRate > 0 {
 		duration := opts.OutageDuration
@@ -971,33 +956,12 @@ func (nw *Network) aggregateRecovered(ctx context.Context, inputs []int64, opts 
 		cfg.Schedule = schedule
 	}
 	res, err := recov.Run(nw.asn, sim.NodeID(opts.Source), inputs, opts.Seed, cfg)
-	if err != nil {
-		return nil, finishInterrupted(sink, err)
+	if err := finishRun(sink, err); err != nil {
+		return nil, err
 	}
-	if sink != nil {
-		sink.Finish()
-		if terr := sink.Err(); terr != nil {
-			return nil, terr
-		}
-	}
-	out := &AggregateResult{
-		Value:          exportValue(res.Value),
-		Slots:          res.TotalSlots,
-		Phase1Slots:    res.Phase1Slots,
-		Phase2Slots:    res.Phase2Slots,
-		Phase3Slots:    res.Phase3Slots,
-		Phase4Slots:    res.Phase4Slots,
-		Parents:        make([]NodeID, len(res.Parents)),
-		MaxMessageSize: res.MaxMessageSize,
-		Degraded:       res.Degraded,
-		Stalled:        res.Stalled,
-		Retries:        res.Retries,
-		Reelections:    res.Reelections,
-		Restarts:       res.Restarts,
-	}
-	for i, p := range res.Parents {
-		out.Parents[i] = NodeID(p)
-	}
+	out := exportAggregate(&res.Result)
+	out.Degraded, out.Stalled = res.Degraded, res.Stalled
+	out.Retries, out.Reelections, out.Restarts = res.Retries, res.Reelections, res.Restarts
 	if res.Contributors != nil {
 		out.Contributors = make([]NodeID, len(res.Contributors))
 		for i, id := range res.Contributors {
@@ -1041,9 +1005,18 @@ type SessionResult struct {
 // inputs (rounds[r][v] = node v's datum in round r) is converged over the
 // same tree. This amortizes the Θ((c/k)·lg n + n) setup across the paper's
 // periodic-snapshot use case. The network must be static.
+//
+// Of the options, a session honours Source, Func, Seed, Kappa, Check,
+// Sparse, Context and Deadline. It returns an error naming any of Trace,
+// MaxSlots, Recover, OutageRate, Faults and Adversary that is set, rather
+// than ignore it: a session has no trace events of its own, sizes its
+// budget from its round windows, and has no recovery supervisor.
 func (nw *Network) AggregateRounds(rounds [][]int64, opts AggregateOptions) (*SessionResult, error) {
 	if nw.dynamic {
 		return nil, errors.New("crn: AggregateRounds requires a static network")
+	}
+	if bad := opts.sessionUnsupported(); len(bad) > 0 {
+		return nil, fmt.Errorf("crn: AggregateRounds does not support %s", strings.Join(bad, ", "))
 	}
 	name := opts.Func
 	if name == "" {
@@ -1055,16 +1028,11 @@ func (nw *Network) AggregateRounds(rounds [][]int64, opts AggregateOptions) (*Se
 	}
 	ctx, cancel := interruptContext(opts.Context, opts.Deadline)
 	defer cancel()
-	var arena cogcomp.Arena
-	arena.SetCheck(opts.Check)
-	arena.SetContext(ctx)
-	res, err := arena.RunRounds(nw.asn, sim.NodeID(opts.Source), rounds, opts.Seed, cogcomp.SessionConfig{
-		Kappa:  opts.Kappa,
-		Func:   f,
-		Sparse: opts.Sparse,
+	res, err := cogcomp.RunRounds(nw.asn, sim.NodeID(opts.Source), rounds, opts.Seed, cogcomp.SessionConfig{
+		Config: cogcomp.Config{Kappa: opts.Kappa, Func: f, Check: opts.Check, Sparse: opts.Sparse, Context: ctx},
 	})
-	if err != nil {
-		return nil, finishInterrupted(nil, err)
+	if err := finishRun(nil, err); err != nil {
+		return nil, err
 	}
 	out := &SessionResult{
 		Values:     make([]any, len(res.Values)),
@@ -1076,6 +1044,27 @@ func (nw *Network) AggregateRounds(rounds [][]int64, opts AggregateOptions) (*Se
 		out.Values[i] = exportValue(v)
 	}
 	return out, nil
+}
+
+// sessionUnsupported names the set options AggregateRounds cannot honour.
+func (o AggregateOptions) sessionUnsupported() []string {
+	var bad []string
+	for _, opt := range []struct {
+		name string
+		set  bool
+	}{
+		{"Trace", o.Trace != nil},
+		{"MaxSlots", o.MaxSlots != 0},
+		{"Recover", o.Recover},
+		{"OutageRate", o.OutageRate != 0},
+		{"Faults", len(o.Faults) > 0},
+		{"Adversary", o.Adversary != ""},
+	} {
+		if opt.set {
+			bad = append(bad, opt.name)
+		}
+	}
+	return bad
 }
 
 // RendezvousBroadcast runs the paper's baseline broadcast (no relaying)

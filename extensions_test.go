@@ -1,6 +1,7 @@
 package crn_test
 
 import (
+	"io"
 	"testing"
 
 	crn "github.com/cogradio/crn"
@@ -168,5 +169,29 @@ func TestAggregateRoundsValidation(t *testing.T) {
 	rounds := [][]int64{make([]int64, dnet.Nodes())}
 	if _, err := dnet.AggregateRounds(rounds, crn.AggregateOptions{}); err == nil {
 		t.Error("dynamic network accepted")
+	}
+}
+
+// TestAggregateRoundsUnsupportedOptions: a session names every option it
+// cannot honour instead of running without it.
+func TestAggregateRoundsUnsupportedOptions(t *testing.T) {
+	net := mustNetwork(t, defaultSpec())
+	rounds := [][]int64{make([]int64, net.Nodes())}
+	for _, tc := range []struct {
+		opts crn.AggregateOptions
+		want string
+	}{
+		{crn.AggregateOptions{Trace: io.Discard}, "Trace"},
+		{crn.AggregateOptions{MaxSlots: 100}, "MaxSlots"},
+		{crn.AggregateOptions{Recover: true}, "Recover"},
+		{crn.AggregateOptions{OutageRate: 0.01}, "OutageRate"},
+		{crn.AggregateOptions{Faults: []crn.FaultSpec{{Kind: "random", Rate: 0.01}}}, "Faults"},
+		{crn.AggregateOptions{Adversary: "hunter"}, "Adversary"},
+		{crn.AggregateOptions{Trace: io.Discard, Recover: true}, "Trace, Recover"},
+	} {
+		_, err := net.AggregateRounds(rounds, tc.opts)
+		if want := "crn: AggregateRounds does not support " + tc.want; err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", tc.want, err, want)
+		}
 	}
 }

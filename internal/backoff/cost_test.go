@@ -47,7 +47,7 @@ func TestCostObserverOnCogcastRun(t *testing.T) {
 	}
 	o := backoff.NewCostObserver(n, 3)
 	res, err := cogcast.Run(asn, 0, "m", 3, cogcast.RunConfig{
-		UntilAllInformed: true, MaxSlots: 100000, Observer: o,
+		UntilAllInformed: true, MaxSlots: 100000, Engine: cogcast.Engine{Observer: o},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"github.com/cogradio/crn/internal/assign"
 	"github.com/cogradio/crn/internal/chaos"
 	"github.com/cogradio/crn/internal/cogcast"
+	"github.com/cogradio/crn/internal/exper"
 	"github.com/cogradio/crn/internal/parallel"
 	"github.com/cogradio/crn/internal/scenario"
 	"github.com/cogradio/crn/internal/sim"
@@ -58,7 +59,7 @@ func TestEngineCancelDeterministic(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
 		_, err := cogcast.Run(asn, 0, "m", 7, cogcast.RunConfig{
 			UntilAllInformed: true, MaxSlots: 1 << 20,
-			Context: chaos.CancelAfterChecks(5),
+			Engine: cogcast.Engine{Context: chaos.CancelAfterChecks(5)},
 		})
 		if err == nil || err.Error() != want {
 			t.Fatalf("rep=%d: error %v, want %q", rep, err, want)
@@ -76,48 +77,47 @@ func TestEngineCancelDeterministic(t *testing.T) {
 // TestBroadcastByteIdenticalWithContext asserts the acceptance criterion
 // head-on: attaching a context (that never fires) changes nothing about a
 // completing run — results and trace bytes are identical to the
-// context-free run with and without sparse stepping.
+// context-free run.
 func TestBroadcastByteIdenticalWithContext(t *testing.T) {
 	defer chaos.LeakCheck(t)()
-	run := func(ctx context.Context, sparse bool) (*crn.BroadcastResult, []byte) {
+	run := func(ctx context.Context) (*crn.BroadcastResult, []byte) {
 		var buf bytes.Buffer
 		res, err := newNet(t, 3).Broadcast(crn.BroadcastOptions{
 			Payload: "hello", Seed: 3, RunToCompletion: true, MaxSlots: 1 << 20,
-			Sparse: sparse, Trace: &buf, Context: ctx,
+			Trace: &buf, Context: ctx,
 		})
 		if err != nil {
-			t.Fatalf("sparse=%v ctx=%v: %v", sparse, ctx, err)
+			t.Fatalf("ctx=%v: %v", ctx, err)
 		}
 		return res, buf.Bytes()
 	}
-	for _, sparse := range []bool{false, true} {
-		base, baseTrace := run(nil, sparse)
-		for name, ctx := range map[string]context.Context{
-			"background":  context.Background(),
-			"never-fires": chaos.CancelAfterChecks(1 << 30),
-		} {
-			res, tr := run(ctx, sparse)
-			if !reflect.DeepEqual(res, base) {
-				t.Errorf("sparse=%v ctx=%s: result differs from context-free run", sparse, name)
-			}
-			if !bytes.Equal(tr, baseTrace) {
-				t.Errorf("sparse=%v ctx=%s: trace bytes differ from context-free run", sparse, name)
-			}
+	base, baseTrace := run(nil)
+	for name, ctx := range map[string]context.Context{
+		"background":  context.Background(),
+		"never-fires": chaos.CancelAfterChecks(1 << 30),
+	} {
+		res, tr := run(ctx)
+		if !reflect.DeepEqual(res, base) {
+			t.Errorf("ctx=%s: result differs from context-free run", name)
+		}
+		if !bytes.Equal(tr, baseTrace) {
+			t.Errorf("ctx=%s: trace bytes differ from context-free run", name)
 		}
 	}
 }
 
 // TestScenarioRepeatByteIdentical drives the same property through the
 // scenario layer's repeated-run path: rendered output is identical with
-// and without a context at every parallel/sparse combination.
+// and without a context at every parallelism, and for cogcomp — whose
+// census leaves nodes dormant — with and without sparse stepping.
 func TestScenarioRepeatByteIdentical(t *testing.T) {
 	defer chaos.LeakCheck(t)()
-	render := func(ctx context.Context, workers int, sparse bool) string {
+	render := func(protocol string, ctx context.Context, workers int, sparse bool) string {
 		sc := &scenario.Scenario{
 			Name: "chaos", Seed: 11,
 			Topology: scenario.Topology{Nodes: 32, ChannelsPerNode: 6, MinOverlap: 2,
 				TotalChannels: 18, Generator: "shared-core", Labels: "local"},
-			Protocol: scenario.Protocol{Name: "cogcast", Payload: "INIT", Aggregate: "sum",
+			Protocol: scenario.Protocol{Name: protocol, Payload: "INIT", Aggregate: "sum",
 				Rounds: 3, Rumors: 4},
 			Engine: scenario.Engine{Sparse: sparse, Parallel: workers, Repeat: 5},
 		}
@@ -129,24 +129,107 @@ func TestScenarioRepeatByteIdentical(t *testing.T) {
 			_, err = sc.ExecuteContext(ctx, &buf)
 		}
 		if err != nil {
-			t.Fatalf("workers=%d sparse=%v: %v", workers, sparse, err)
+			t.Fatalf("%s workers=%d sparse=%v: %v", protocol, workers, sparse, err)
 		}
 		return buf.String()
 	}
-	base := render(nil, 1, false)
-	for _, workers := range []int{1, 2, 4} {
-		for _, sparse := range []bool{false, true} {
-			for name, ctx := range map[string]context.Context{
-				"none":        nil,
-				"background":  context.Background(),
-				"never-fires": chaos.CancelAfterChecks(1 << 30),
-			} {
-				if got := render(ctx, workers, sparse); got != base {
-					t.Errorf("workers=%d sparse=%v ctx=%s: output differs\n--- base\n%s--- got\n%s",
-						workers, sparse, name, base, got)
+	for protocol, sparseAxis := range map[string][]bool{
+		"cogcast": {false},
+		"cogcomp": {false, true},
+	} {
+		base := render(protocol, nil, 1, false)
+		for _, workers := range []int{1, 2, 4} {
+			for _, sparse := range sparseAxis {
+				for name, ctx := range map[string]context.Context{
+					"none":        nil,
+					"background":  context.Background(),
+					"never-fires": chaos.CancelAfterChecks(1 << 30),
+				} {
+					if got := render(protocol, ctx, workers, sparse); got != base {
+						t.Errorf("%s workers=%d sparse=%v ctx=%s: output differs\n--- base\n%s--- got\n%s",
+							protocol, workers, sparse, name, base, got)
+					}
 				}
 			}
 		}
+	}
+}
+
+// sessionRounds returns r rounds of inputs for an n-node session.
+func sessionRounds(n, r int) [][]int64 {
+	rounds := make([][]int64, r)
+	for i := range rounds {
+		rounds[i] = make([]int64, n)
+		for v := range rounds[i] {
+			rounds[i][v] = int64(i*1000 + v)
+		}
+	}
+	return rounds
+}
+
+// TestSessionCancel holds multi-round sessions to the interrupt contract
+// of every other run: a cancelled Context and an expired Deadline each
+// stop the session with the typed error, and a context that never fires
+// leaves the result exactly as without one.
+func TestSessionCancel(t *testing.T) {
+	defer chaos.LeakCheck(t)()
+	rounds := sessionRounds(64, 3)
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := newNet(t, 4).AggregateRounds(rounds, crn.AggregateOptions{Seed: 4, Context: canceled})
+	var ie *crn.InterruptedError
+	if !errors.As(err, &ie) || ie.Slots != 0 || ie.Deadline {
+		t.Fatalf("pre-cancelled session: error %v (%T), want *InterruptedError at slot 0", err, err)
+	}
+	if !errors.Is(err, crn.ErrCanceled) {
+		t.Fatalf("pre-cancelled session: %v does not match ErrCanceled", err)
+	}
+
+	// A 1ns Deadline cannot outlast a 4096-node session's census.
+	big, err := crn.NewNetwork(crn.Spec{
+		Nodes: 4096, ChannelsPerNode: 8, MinOverlap: 2,
+		TotalChannels: 24, Topology: crn.SharedCore, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = big.AggregateRounds(sessionRounds(4096, 2), crn.AggregateOptions{Seed: 1, Deadline: time.Nanosecond})
+	if !errors.Is(err, crn.ErrDeadlineExceeded) {
+		t.Fatalf("Deadline option error %v, want ErrDeadlineExceeded", err)
+	}
+
+	want, err := newNet(t, 4).AggregateRounds(rounds, crn.AggregateOptions{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := newNet(t, 4).AggregateRounds(rounds, crn.AggregateOptions{Seed: 4, Context: chaos.CancelAfterChecks(1 << 30)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("never-firing context changed the session:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestExperimentSessionCancel cancels E25, whose trials are aggregation
+// sessions, through exper.Config.Context: the interrupt must land inside
+// the running session, not wait for it to finish.
+func TestExperimentSessionCancel(t *testing.T) {
+	defer chaos.LeakCheck(t)()
+	e, err := exper.ByID("E25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const checks = 50
+	before := sim.SlotsExecuted()
+	_, err = e.Run(exper.Config{Seed: 7, Trials: 1, Quick: true, Parallel: 1, Context: chaos.CancelAfterChecks(checks)})
+	var it *sim.Interrupted
+	if !errors.As(err, &it) {
+		t.Fatalf("error %v (%T), want a *sim.Interrupted from inside a trial", err, err)
+	}
+	if ran := sim.SlotsExecuted() - before; ran > checks {
+		t.Fatalf("E25 ran %d slots after a cancel due within %d checks", ran, checks)
 	}
 }
 

@@ -37,34 +37,108 @@ type RunConfig struct {
 	// (measuring completion time); otherwise the run uses the full slot
 	// budget (measuring the fixed-horizon protocol).
 	UntilAllInformed bool
+	// Engine carries the engine settings every protocol runner shares.
+	Engine
+}
+
+// Engine holds the engine settings every protocol runner shares: COGCAST's
+// RunConfig embeds it, and COGCOMP's runners fill one from their Config.
+// Wiring.Options turns it into engine options.
+type Engine struct {
 	// Collisions selects the engine's contention semantics (default: the
 	// paper's uniform-winner model). The stronger all-delivered model of
 	// footnote 3 is available for ablations.
 	Collisions sim.CollisionModel
 	// Observer, when non-nil, receives per-slot channel outcomes (e.g. a
-	// metrics.Collector).
+	// metrics.Collector), before the trace recorder and the invariant
+	// checker in tee order.
 	Observer sim.Observer
 	// Trace, when non-nil, receives the run's structured event stream
-	// (TRACE.md): per-slot channel outcomes plus epidemic progress and
-	// per-node informed events. Nil disables tracing at zero cost.
+	// (TRACE.md): per-slot channel outcomes plus the protocol's own events.
+	// Nil disables tracing at zero cost.
 	Trace trace.Sink
 	// Check attaches the invariant oracle: the assignment's k-overlap
 	// contract is re-verified, every slot's channel outcomes are re-checked
-	// against the collision model, and the resulting distribution tree is
-	// validated. A violation fails the run. Disabled (the default) it costs
+	// against the collision model, and the runner validates its own
+	// results. A violation fails the run. Disabled (the default) it costs
 	// nothing; see package invariant.
 	Check bool
-	// Sparse enables event-driven stepping (sim.WithSparse). COGCAST nodes
-	// draw a channel every slot, so they never declare dormancy; what the
-	// sparse engine still buys here is exact done-node retirement and an
-	// O(1) AllDone. The big wins belong to protocols with quiescent phases
-	// (COGCOMP's census, the hopping baseline). Byte-identical either way.
-	Sparse bool
 	// Context, when non-nil, is checked at every slot boundary
 	// (sim.WithContext): a done context stops the run with a
 	// *sim.Interrupted error carrying the slots completed. Runs that
 	// complete are byte-identical with or without one.
 	Context context.Context
+}
+
+// Wiring is an arena's half of the engine-settings path: the reused option
+// buffer, the arena-wide overlay set by SetCheck and SetContext, and the
+// invariant checker. The zero value is ready to use; the COGCAST and
+// COGCOMP arenas embed one, so every runner wires its engine the same way.
+type Wiring struct {
+	opts       []sim.Option
+	forceCheck bool
+	ctx        context.Context
+	checker    *invariant.Checker
+}
+
+// SetCheck forces invariant checking for every subsequent run on this
+// arena, regardless of Engine.Check — how the experiment harness turns
+// one -check flag into oracle coverage of every trial without threading a
+// flag through each run-configuration site.
+func (w *Wiring) SetCheck(on bool) { w.forceCheck = on }
+
+// SetContext attaches a context to every subsequent run on this arena that
+// does not carry its own Engine.Context — how the experiment harness
+// makes a whole suite cancellable without threading a context through each
+// run-configuration site.
+func (w *Wiring) SetContext(ctx context.Context) { w.ctx = ctx }
+
+// Checker returns the arena's invariant checker, non-nil once a checked
+// run has happened. Its winner-uniformity tallies pool across all of the
+// arena's checked runs (see invariant.Checker.Uniformity).
+func (w *Wiring) Checker() *invariant.Checker { return w.checker }
+
+// Options turns one run's engine settings into engine options, with the
+// arena overlay applied: SetCheck is ORed with e.Check, and e.Context wins
+// over SetContext's. A checked run first re-verifies the assignment
+// contract and resets the arena's checker. Observers chain in the order
+// e.Observer, the trace recorder, the checker. extra options follow the
+// wired ones. The returned slice is the arena's buffer, valid until the
+// next call; check reports whether the oracle is on for this run.
+func (w *Wiring) Options(asn sim.Assignment, e Engine, extra ...sim.Option) (opts []sim.Option, check bool, err error) {
+	check = e.Check || w.forceCheck
+	w.opts = w.opts[:0]
+	if e.Collisions != sim.UniformWinner {
+		// The engine's default; leaving it out keeps the option closure
+		// (and its allocation) off the common path.
+		w.opts = append(w.opts, sim.WithCollisionModel(e.Collisions))
+	}
+	ctx := e.Context
+	if ctx == nil {
+		ctx = w.ctx
+	}
+	if ctx != nil {
+		w.opts = append(w.opts, sim.WithContext(ctx))
+	}
+	obs := e.Observer
+	if e.Trace != nil {
+		obs = sim.Tee(obs, trace.NewRecorder(e.Trace))
+	}
+	if check {
+		if err := invariant.CheckAssignment(asn, 0); err != nil {
+			return nil, false, err
+		}
+		if w.checker == nil {
+			w.checker = new(invariant.Checker)
+		}
+		w.checker.Reset(asn, e.Collisions)
+		obs = sim.Tee(obs, w.checker)
+	}
+	if obs != nil {
+		w.opts = append(w.opts, sim.WithObserver(obs))
+	}
+	w.opts = append(w.opts, extra...)
+	return w.opts, check, nil
 }
 
 // Arena holds the reusable pieces of a COGCAST execution — nodes, their
@@ -73,45 +147,16 @@ type RunConfig struct {
 // warm arena is byte-identical to the package-level Run. Arenas are not safe
 // for concurrent use: parallel trial runners keep one per worker.
 type Arena struct {
+	Wiring
 	nodes       []*Node
 	protos      []sim.Protocol
 	eng         *sim.Engine
 	wasInformed []bool
-	opts        []sim.Option
-	forceCheck  bool
-	ctx         context.Context
-	checker     *invariant.Checker
 }
-
-// SetCheck forces invariant checking for every subsequent Run on this
-// arena, regardless of RunConfig.Check — how the experiment harness turns
-// one -check flag into oracle coverage of every trial without threading a
-// flag through each run-configuration site.
-func (a *Arena) SetCheck(on bool) { a.forceCheck = on }
-
-// SetContext attaches a context to every subsequent Run on this arena that
-// does not carry its own RunConfig.Context — how the experiment harness
-// makes a whole suite cancellable without threading a context through each
-// run-configuration site (the SetCheck pattern).
-func (a *Arena) SetContext(ctx context.Context) { a.ctx = ctx }
-
-// Checker returns the arena's invariant checker, non-nil once a checked
-// run has happened. Its winner-uniformity tallies pool across all of the
-// arena's checked runs (see invariant.Checker.Uniformity).
-func (a *Arena) Checker() *invariant.Checker { return a.checker }
 
 // Nodes exposes the per-node protocol state of the most recent Run; entry i
 // is valid until the arena's next trial. COGCOMP's phases read these.
 func (a *Arena) Nodes() []*Node { return a.nodes }
-
-// runContext picks the effective run context: the per-run config wins,
-// then the arena-wide default, then none.
-func runContext(cfg, arena context.Context) context.Context {
-	if cfg != nil {
-		return cfg
-	}
-	return arena
-}
 
 // build (re)initializes n nodes and the engine for one trial. nodeOpts apply
 // to every node (COGCOMP passes WithRecording).
@@ -153,32 +198,11 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, payload sim.Message, 
 		maxSlots = SlotBound(n, asn.PerNode(), asn.MinOverlap(), DefaultKappa)
 	}
 
-	check := cfg.Check || a.forceCheck
-	a.opts = append(a.opts[:0], sim.WithCollisionModel(cfg.Collisions))
-	if cfg.Sparse {
-		a.opts = append(a.opts, sim.WithSparse())
+	opts, check, err := a.Options(asn, cfg.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("cogcast: %w", err)
 	}
-	if ctx := runContext(cfg.Context, a.ctx); ctx != nil {
-		a.opts = append(a.opts, sim.WithContext(ctx))
-	}
-	obs := cfg.Observer
-	if cfg.Trace != nil {
-		obs = sim.Tee(obs, trace.NewRecorder(cfg.Trace))
-	}
-	if check {
-		if err := invariant.CheckAssignment(asn, 0); err != nil {
-			return nil, fmt.Errorf("cogcast: %w", err)
-		}
-		if a.checker == nil {
-			a.checker = new(invariant.Checker)
-		}
-		a.checker.Reset(asn, cfg.Collisions)
-		obs = sim.Tee(obs, a.checker)
-	}
-	if obs != nil {
-		a.opts = append(a.opts, sim.WithObserver(obs))
-	}
-	if err := a.build(asn, source, payload, seed, a.opts); err != nil {
+	if err := a.build(asn, source, payload, seed, opts); err != nil {
 		return nil, err
 	}
 	nodes, eng := a.nodes, a.eng

@@ -58,6 +58,21 @@ type Config struct {
 	Context context.Context
 }
 
+// engine is the part of the config the shared engine wiring
+// (cogcast.Wiring.Options) consumes. COGCOMP always runs the paper's
+// uniform-winner collision model.
+func (c Config) engine() cogcast.Engine {
+	return cogcast.Engine{Observer: c.Observer, Trace: c.Trace, Check: c.Check, Context: c.Context}
+}
+
+// fn returns the aggregate to compute, defaulting to aggfunc.Sum.
+func (c Config) fn() aggfunc.Func {
+	if c.Func == nil {
+		return aggfunc.Sum{}
+	}
+	return c.Func
+}
+
 // DefaultMaxSlots is the slot budget Run uses when Config.MaxSlots is
 // zero: phases 1-3 take 2l+n slots, phase four needs at most about 3(n+l)
 // slots per the Theorem 10 induction; double it for slack.
@@ -95,32 +110,17 @@ type Result struct {
 // RunRounds. Arenas are not safe for concurrent use: parallel trial runners
 // keep one per worker.
 type Arena struct {
-	nodes      []*Node
-	protos     []sim.Protocol
-	eng        *sim.Engine
-	engOpts    []sim.Option
-	forceCheck bool
-	ctx        context.Context
-	checker    *invariant.Checker
-	infSlots   []int
+	cogcast.Wiring
+	nodes    []*Node
+	protos   []sim.Protocol
+	eng      *sim.Engine
+	infSlots []int
 }
-
-// SetCheck forces invariant checking for every subsequent Run on this
-// arena, regardless of Config.Check (see cogcast.Arena.SetCheck).
-func (a *Arena) SetCheck(on bool) { a.forceCheck = on }
-
-// SetContext attaches a context to every subsequent Run on this arena that
-// does not carry its own Config.Context (see cogcast.Arena.SetContext).
-func (a *Arena) SetContext(ctx context.Context) { a.ctx = ctx }
-
-// Checker returns the arena's invariant checker, non-nil once a checked
-// run has happened.
-func (a *Arena) Checker() *invariant.Checker { return a.checker }
 
 // build (re)initializes n nodes and the engine for one execution. wrap,
 // when non-nil, maps each node to the protocol the engine drives (e.g. a
 // fault-injection wrapper); nil drives the nodes directly.
-func (a *Arena) build(asn sim.Assignment, source sim.NodeID, n, l int, input func(i int) int64, f aggfunc.Func, seed int64, engOpts []sim.Option, wrap func(sim.NodeID, *Node) sim.Protocol) error {
+func (a *Arena) build(asn sim.Assignment, source sim.NodeID, n, l int, inputs []int64, f aggfunc.Func, seed int64, engOpts []sim.Option, wrap func(sim.NodeID, *Node) sim.Protocol) error {
 	if cap(a.nodes) < n {
 		a.nodes = append(a.nodes[:cap(a.nodes)], make([]*Node, n-cap(a.nodes))...)
 		a.protos = make([]sim.Protocol, n)
@@ -131,7 +131,7 @@ func (a *Arena) build(asn sim.Assignment, source sim.NodeID, n, l int, input fun
 		if a.nodes[i] == nil {
 			a.nodes[i] = &Node{}
 		}
-		a.nodes[i].Reinit(sim.View(asn, sim.NodeID(i)), sim.NodeID(i) == source, n, l, input(i), f, seed)
+		a.nodes[i].Reinit(sim.View(asn, sim.NodeID(i)), sim.NodeID(i) == source, n, l, inputs[i], f, seed)
 		if wrap == nil {
 			a.protos[i] = a.nodes[i]
 		} else {
@@ -158,54 +158,39 @@ func (a *Arena) build(asn sim.Assignment, source sim.NodeID, n, l int, input fun
 // to the classic runner; wrap lets it interpose fault-injection wrappers
 // between the engine and the nodes.
 func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, seed int64, cfg Config, wrap func(sim.NodeID, *Node) sim.Protocol) ([]*Node, *sim.Engine, int, error) {
+	l, _, err := a.prepare(asn, source, inputs, seed, cfg, wrap)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return a.nodes, a.eng, l, nil
+}
+
+// prepare is Prepare, also reporting whether the invariant oracle is on
+// for this run. RunRounds passes its first round's inputs.
+func (a *Arena) prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, seed int64, cfg Config, wrap func(sim.NodeID, *Node) sim.Protocol) (l int, check bool, err error) {
 	n := asn.Nodes()
 	if source < 0 || int(source) >= n {
-		return nil, nil, 0, fmt.Errorf("cogcomp: source %d outside [0,%d)", source, n)
+		return 0, false, fmt.Errorf("cogcomp: source %d outside [0,%d)", source, n)
 	}
 	if len(inputs) != n {
-		return nil, nil, 0, fmt.Errorf("cogcomp: got %d inputs for %d nodes", len(inputs), n)
+		return 0, false, fmt.Errorf("cogcomp: got %d inputs for %d nodes", len(inputs), n)
 	}
 	kappa := cfg.Kappa
 	if kappa == 0 {
 		kappa = cogcast.DefaultKappa
 	}
-	f := cfg.Func
-	if f == nil {
-		f = aggfunc.Sum{}
-	}
-	l := PhaseOneLength(n, asn.PerNode(), asn.MinOverlap(), kappa)
+	l = PhaseOneLength(n, asn.PerNode(), asn.MinOverlap(), kappa)
 
-	check := cfg.Check || a.forceCheck
-	a.engOpts = a.engOpts[:0]
+	var sparse []sim.Option
 	if cfg.Sparse {
-		a.engOpts = append(a.engOpts, sim.WithSparse())
+		sparse = sparseOpt
 	}
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = a.ctx
+	opts, check, err := a.Options(asn, cfg.engine(), sparse...)
+	if err != nil {
+		return 0, false, fmt.Errorf("cogcomp: %w", err)
 	}
-	if ctx != nil {
-		a.engOpts = append(a.engOpts, sim.WithContext(ctx))
-	}
-	obs := cfg.Observer
-	if cfg.Trace != nil {
-		obs = sim.Tee(obs, trace.NewRecorder(cfg.Trace))
-	}
-	if check {
-		if err := invariant.CheckAssignment(asn, 0); err != nil {
-			return nil, nil, 0, fmt.Errorf("cogcomp: %w", err)
-		}
-		if a.checker == nil {
-			a.checker = new(invariant.Checker)
-		}
-		a.checker.Reset(asn, sim.UniformWinner)
-		obs = sim.Tee(obs, a.checker)
-	}
-	if obs != nil {
-		a.engOpts = append(a.engOpts, sim.WithObserver(obs))
-	}
-	if err := a.build(asn, source, n, l, func(i int) int64 { return inputs[i] }, f, seed, a.engOpts, wrap); err != nil {
-		return nil, nil, 0, err
+	if err := a.build(asn, source, n, l, inputs, cfg.fn(), seed, opts, wrap); err != nil {
+		return 0, false, err
 	}
 	// Emit dormancy hints only when the engine actually engaged sparse
 	// stepping (the request may have been gated off by an observer or a
@@ -215,8 +200,11 @@ func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 	for _, nd := range a.nodes {
 		nd.SetDormant(dormant)
 	}
-	return a.nodes, a.eng, l, nil
+	return l, check, nil
 }
+
+// sparseOpt is the extra engine option of a Config.Sparse run.
+var sparseOpt = []sim.Option{sim.WithSparse()}
 
 // Run executes COGCOMP exactly as the package-level Run does, reusing the
 // arena's nodes and engine.
@@ -230,15 +218,11 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, inputs []int64, seed 
 // is worth. A nil wrap is exactly Run.
 func (a *Arena) RunWith(asn sim.Assignment, source sim.NodeID, inputs []int64, seed int64, cfg Config, wrap func(sim.NodeID, *Node) sim.Protocol) (*Result, error) {
 	n := asn.Nodes()
-	nodes, eng, l, err := a.Prepare(asn, source, inputs, seed, cfg, wrap)
+	l, check, err := a.prepare(asn, source, inputs, seed, cfg, wrap)
 	if err != nil {
 		return nil, err
 	}
-	f := cfg.Func
-	if f == nil {
-		f = aggfunc.Sum{}
-	}
-	check := cfg.Check || a.forceCheck
+	nodes, eng, f := a.nodes, a.eng, cfg.fn()
 	maxSlots := cfg.MaxSlots
 	if maxSlots == 0 {
 		maxSlots = DefaultMaxSlots(n, l)
@@ -285,8 +269,8 @@ func (a *Arena) RunWith(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 		cfg.Trace.Emit(trace.CensusEvent(total, informed, res.Mediators))
 	}
 	if check {
-		if err := a.checker.Err(); err != nil {
-			return nil, fmt.Errorf("cogcomp: slot oracle (%d violations): %w", a.checker.Violations(), err)
+		if err := a.Checker().Err(); err != nil {
+			return nil, fmt.Errorf("cogcomp: slot oracle (%d violations): %w", a.Checker().Violations(), err)
 		}
 		if cap(a.infSlots) < n {
 			a.infSlots = make([]int, n)

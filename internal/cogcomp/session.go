@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/cogradio/crn/internal/aggfunc"
-	"github.com/cogradio/crn/internal/cogcast"
 	"github.com/cogradio/crn/internal/invariant"
 	"github.com/cogradio/crn/internal/sim"
 )
@@ -23,19 +22,15 @@ import (
 // aggregations over a static network, where paying the Θ((c/k)lg n) tree
 // construction once instead of every round is the natural engineering move.
 
-// SessionConfig configures a multi-round run.
+// SessionConfig configures a multi-round run. The embedded Config applies
+// as for Run, except MaxSlots: a session's budget is its setup plus its
+// round windows. With Sparse, round-finished nodes sleep to the next round
+// boundary and phase-four holding patterns park, so a session's cost
+// tracks its traffic rather than n·slots.
 type SessionConfig struct {
-	// Kappa scales phase one (0 = cogcast.DefaultKappa).
-	Kappa float64
-	// Func is the aggregate (nil = aggfunc.Sum).
-	Func aggfunc.Func
+	Config
 	// RoundSteps is the per-round step window (0 = n + l + 16).
 	RoundSteps int
-	// Sparse enables event-driven stepping (sim.WithSparse); see
-	// Config.Sparse. Round-finished nodes sleep to the next round boundary
-	// and phase-four holding patterns park, so a session's cost tracks its
-	// traffic rather than n·slots.
-	Sparse bool
 }
 
 // SessionResult reports a multi-round aggregation.
@@ -71,9 +66,6 @@ func RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int64, seed int
 // copy.
 func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int64, seed int64, cfg SessionConfig) (*SessionResult, error) {
 	n := asn.Nodes()
-	if source < 0 || int(source) >= n {
-		return nil, fmt.Errorf("cogcomp: source %d outside [0,%d)", source, n)
-	}
 	if len(rounds) == 0 {
 		return nil, errors.New("cogcomp: session needs at least one round")
 	}
@@ -82,41 +74,16 @@ func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int6
 			return nil, fmt.Errorf("cogcomp: round %d has %d inputs for %d nodes", r, len(inputs), n)
 		}
 	}
-	kappa := cfg.Kappa
-	if kappa == 0 {
-		kappa = cogcast.DefaultKappa
+	l, check, err := a.prepare(asn, source, rounds[0], seed, cfg.Config, nil)
+	if err != nil {
+		return nil, err
 	}
-	f := cfg.Func
-	if f == nil {
-		f = aggfunc.Sum{}
-	}
-	l := PhaseOneLength(n, asn.PerNode(), asn.MinOverlap(), kappa)
 	roundSteps := cfg.RoundSteps
 	if roundSteps == 0 {
 		roundSteps = n + l + 16
 	}
-
-	a.engOpts = a.engOpts[:0]
-	if cfg.Sparse {
-		a.engOpts = append(a.engOpts, sim.WithSparse())
-	}
-	if a.forceCheck {
-		if err := invariant.CheckAssignment(asn, 0); err != nil {
-			return nil, fmt.Errorf("cogcomp: %w", err)
-		}
-		if a.checker == nil {
-			a.checker = new(invariant.Checker)
-		}
-		a.checker.Reset(asn, sim.UniformWinner)
-		a.engOpts = append(a.engOpts, sim.WithObserver(a.checker))
-	}
-	if err := a.build(asn, source, n, l, func(i int) int64 { return rounds[0][i] }, f, seed, a.engOpts, nil); err != nil {
-		return nil, err
-	}
 	nodes := a.nodes
-	dormant := a.eng.Sparse()
 	for i, nd := range nodes {
-		nd.SetDormant(dormant)
 		for r := range rounds {
 			nd.rounds = append(nd.rounds, rounds[r][i])
 		}
@@ -145,9 +112,10 @@ func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int6
 		RoundSlots:  3 * roundSteps,
 		FinishSteps: src.finishSteps,
 	}
-	if a.forceCheck {
-		if err := a.checker.Err(); err != nil {
-			return nil, fmt.Errorf("cogcomp: slot oracle (%d violations): %w", a.checker.Violations(), err)
+	if check {
+		f := cfg.fn()
+		if err := a.Checker().Err(); err != nil {
+			return nil, fmt.Errorf("cogcomp: slot oracle (%d violations): %w", a.Checker().Violations(), err)
 		}
 		for r := range res.Values {
 			if !res.Complete[r] {

@@ -84,7 +84,7 @@ func TestSessionDifferentAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds := roundsFor(n, 3, 3)
-	res, err := cogcomp.RunRounds(asn, 0, rounds, 3, cogcomp.SessionConfig{Func: aggfunc.Max{}})
+	res, err := cogcomp.RunRounds(asn, 0, rounds, 3, cogcomp.SessionConfig{Config: cogcomp.Config{Func: aggfunc.Max{}}})
 	if err != nil {
 		t.Fatal(err)
 	}

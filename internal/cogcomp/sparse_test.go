@@ -84,7 +84,7 @@ func TestSparseSessionMatchesDense(t *testing.T) {
 			rounds[r] = trialInputs(n, int64(r*10+trial))
 		}
 		want, wantErr := cogcomp.RunRounds(asn, 0, rounds, seed, cogcomp.SessionConfig{})
-		got, gotErr := cogcomp.RunRounds(asn, 0, rounds, seed, cogcomp.SessionConfig{Sparse: true})
+		got, gotErr := cogcomp.RunRounds(asn, 0, rounds, seed, cogcomp.SessionConfig{Config: cogcomp.Config{Sparse: true}})
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: error mismatch: dense %v, sparse %v", trial, wantErr, gotErr)
 		}

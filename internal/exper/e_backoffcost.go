@@ -46,7 +46,7 @@ func runE24(cfg Config) ([]*Table, error) {
 			}
 			obs := backoff.NewCostObserver(n, ts)
 			res, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{
-				UntilAllInformed: true, MaxSlots: 200000, Observer: obs, Sparse: cfg.Sparse,
+				UntilAllInformed: true, MaxSlots: 200000, Engine: cogcast.Engine{Observer: obs},
 			})
 			if err != nil {
 				return costResult{}, err

@@ -81,9 +81,8 @@ func runE26(cfg Config) ([]*Table, error) {
 				sched = schedule
 			}
 			res, err := a.rec.Run(asn, 0, inputs, ts, recov.Config{
+				Config:   cogcomp.Config{Trace: cfg.Trace, Check: cfg.Check},
 				Schedule: sched,
-				Trace:    cfg.Trace,
-				Check:    cfg.Check,
 			})
 			if err != nil {
 				return out, err

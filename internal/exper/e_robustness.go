@@ -195,7 +195,7 @@ func runE21(cfg Config) ([]*Table, error) {
 		}
 		var cm metrics.Collector
 		cres, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{
-			UntilAllInformed: true, MaxSlots: 1_000_000, Observer: &cm, Sparse: cfg.Sparse,
+			UntilAllInformed: true, MaxSlots: 1_000_000, Engine: cogcast.Engine{Observer: &cm},
 		})
 		if err != nil {
 			return utilResult{}, err
@@ -292,7 +292,7 @@ func runE22(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return out, err
 			}
-			res, err := a.cast.Run(model, 0, "m", ts, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: 500000, Sparse: cfg.Sparse})
+			res, err := a.cast.Run(model, 0, "m", ts, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: 500000})
 			if err != nil {
 				return out, err
 			}

@@ -19,6 +19,46 @@ func init() {
 	})
 }
 
+// scalePoint is one row of E28's sweep.
+type scalePoint struct {
+	proto string // "COGCAST" or "COGCOMP"
+	topo  string // "partitioned" or "shared-core"
+	n     int
+}
+
+// e28Points returns E28's sweep, the short one when quick.
+func e28Points(quick bool) []scalePoint {
+	if quick {
+		return []scalePoint{
+			{"COGCAST", "partitioned", 100_000},
+			{"COGCAST", "shared-core", 100_000},
+			{"COGCOMP", "shared-core", 2_000},
+		}
+	}
+	return []scalePoint{
+		{"COGCAST", "partitioned", 100_000},
+		{"COGCAST", "partitioned", 400_000},
+		{"COGCAST", "partitioned", 1_000_000},
+		{"COGCAST", "shared-core", 1_000_000},
+		{"COGCOMP", "shared-core", 2_000},
+		{"COGCOMP", "shared-core", 8_000},
+	}
+}
+
+// seed derives the point's trial seed from n and a tag for its protocol
+// and topology. The sweep first keyed points by len(proto)+len(topo),
+// which is 18 for every pair, so the partitioned and shared-core COGCAST
+// rows at one n ran from one seed. Shared-core COGCAST now has a tag of
+// its own; the other pairs keep 18, and with it their numbers, as no two
+// of their points share an n (TestE28SeedsDistinct checks both sweeps).
+func (p scalePoint) seed(root int64) int64 {
+	tag := int64(18)
+	if p.proto == "COGCAST" && p.topo == "shared-core" {
+		tag = 19
+	}
+	return rng.Derive(root, int64(p.n), tag, 280)
+}
+
 // runE28 sweeps single-trial network sizes. The table carries only
 // deterministic columns (topology shape, CSR index footprint, slot counts);
 // machine-dependent throughput (slots/sec, wall, bytes/node) is what
@@ -36,26 +76,7 @@ func init() {
 // and the index keeps per-node bitsets.
 func runE28(cfg Config) ([]*Table, error) {
 	const c, k, coreChannels = 16, 4, 48
-	type point struct {
-		proto string // "COGCAST" or "COGCOMP"
-		topo  string // "partitioned" or "shared-core"
-		n     int
-	}
-	points := []point{
-		{"COGCAST", "partitioned", 100_000},
-		{"COGCAST", "partitioned", 400_000},
-		{"COGCAST", "partitioned", 1_000_000},
-		{"COGCAST", "shared-core", 1_000_000},
-		{"COGCOMP", "shared-core", 2_000},
-		{"COGCOMP", "shared-core", 8_000},
-	}
-	if cfg.Quick {
-		points = []point{
-			{"COGCAST", "partitioned", 100_000},
-			{"COGCAST", "shared-core", 100_000},
-			{"COGCOMP", "shared-core", 2_000},
-		}
-	}
+	points := e28Points(cfg.Quick)
 	t := &Table{
 		Title:   fmt.Sprintf("E28: single-trial scale sweep (c=%d, k=%d, local labels, 1 trial/point)", c, k),
 		Claim:   "partitioned COGCAST slots grow ~lg n while index bytes/node stay flat; COGCOMP slots grow ~n",
@@ -69,10 +90,10 @@ func runE28(cfg Config) ([]*Table, error) {
 		slots    int
 		complete bool
 	}
-	runPoint := func(p point) (scaleResult, error) {
+	runPoint := func(p scalePoint) (scaleResult, error) {
 		results, err := forTrials(cfg, 1, func(trial int, a *arena) (scaleResult, error) {
 			var out scaleResult
-			ts := rng.Derive(cfg.Seed, int64(p.n), int64(len(p.proto)+len(p.topo)), 280)
+			ts := p.seed(cfg.Seed)
 			var asn *assign.Static
 			var err error
 			if p.topo == "partitioned" {
@@ -94,7 +115,7 @@ func runE28(cfg Config) ([]*Table, error) {
 			case "COGCAST":
 				budget := 64 * cogcast.SlotBound(p.n, c, k, cogcast.DefaultKappa)
 				res, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{
-					UntilAllInformed: true, MaxSlots: budget, Trace: cfg.Trace, Sparse: cfg.Sparse,
+					UntilAllInformed: true, MaxSlots: budget, Engine: cogcast.Engine{Trace: cfg.Trace},
 				})
 				if err != nil {
 					return out, err

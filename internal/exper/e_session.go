@@ -53,12 +53,12 @@ func runE25(cfg Config) ([]*Table, error) {
 			// use, with incompleteness detection as the safety net). The
 			// probe's FinishSteps alias arena backing, so read them before
 			// the next session run reuses it.
-			probe, err := a.comp.RunRounds(asn, 0, rounds[:1], ts, cogcomp.SessionConfig{Sparse: cfg.Sparse})
+			probe, err := a.comp.RunRounds(asn, 0, rounds[:1], ts, cogcomp.SessionConfig{Config: cogcomp.Config{Sparse: cfg.Sparse}})
 			if err != nil {
 				return sessionResult{}, err
 			}
 			tuned := 2*probe.FinishSteps[0] + 8
-			res, err := a.comp.RunRounds(asn, 0, rounds, ts, cogcomp.SessionConfig{RoundSteps: tuned, Sparse: cfg.Sparse})
+			res, err := a.comp.RunRounds(asn, 0, rounds, ts, cogcomp.SessionConfig{Config: cogcomp.Config{Sparse: cfg.Sparse}, RoundSteps: tuned})
 			if err != nil {
 				return sessionResult{}, err
 			}

@@ -61,13 +61,16 @@ type Config struct {
 	// prove exactly that (E27) and to let fault experiments (E26) measure
 	// recovery itself.
 	Recover bool
-	// Sparse runs every trial's engine in event-driven stepping mode
-	// (sim.WithSparse): dormant nodes are skipped instead of scanned, which
-	// collapses COGCOMP's census window from Θ(n²) node-steps to O(events).
-	// Tables and traces are byte-identical either way — the engine falls
-	// back to dense whenever an observer is attached (Trace/Check) — so the
-	// flag only moves wall-clock. The recovery supervisor (Recover) always
-	// runs dense: its fault wrappers void dormancy promises.
+	// Sparse runs the COGCOMP and session trials' engines in event-driven
+	// stepping mode (sim.WithSparse): dormant nodes are skipped instead of
+	// scanned, which collapses COGCOMP's census window from Θ(n²)
+	// node-steps to O(events). COGCAST trials always step densely: their
+	// nodes act every slot, so there is nothing to skip. Tables and traces
+	// are byte-identical either way — the engine falls back to dense
+	// whenever an observer is attached (Trace/Check) — so the flag only
+	// moves wall-clock. The recovery supervisor (Recover) always runs
+	// dense: it rewrites node state between slots, voiding dormancy
+	// promises.
 	Sparse bool
 	// Context, when non-nil, makes the experiment cancellable: the worker
 	// pool stops claiming new trials once it is done (surfacing a
@@ -126,32 +129,14 @@ func (a *arena) compRun(cfg Config, asn sim.Assignment, source sim.NodeID, input
 	if !cfg.Recover {
 		return a.comp.Run(asn, source, inputs, seed, ccfg)
 	}
-	res, err := a.rec.Run(asn, source, inputs, seed, recov.Config{
-		Kappa:    ccfg.Kappa,
-		Func:     ccfg.Func,
-		MaxSlots: ccfg.MaxSlots,
-		Trace:    ccfg.Trace,
-		Check:    ccfg.Check,
-	})
+	res, err := a.rec.Run(asn, source, inputs, seed, recov.Config{Config: ccfg})
 	if err != nil {
 		return nil, err
 	}
 	if !res.Complete {
 		return nil, cogcomp.ErrIncomplete
 	}
-	return &cogcomp.Result{
-		Value:               res.Value,
-		Complete:            res.Complete,
-		TotalSlots:          res.TotalSlots,
-		Phase1Slots:         res.Phase1Slots,
-		Phase2Slots:         res.Phase2Slots,
-		Phase3Slots:         res.Phase3Slots,
-		Phase4Slots:         res.Phase4Slots,
-		InformedAfterPhase1: res.InformedAfterPhase1,
-		Parents:             res.Parents,
-		MaxMessageSize:      res.MaxMessageSize,
-		Mediators:           res.Mediators,
-	}, nil
+	return &res.Result, nil
 }
 
 // experInputs fills the arena's input scratch with the standard experiment

@@ -121,3 +121,20 @@ func TestAllExperimentsQuick(t *testing.T) {
 		})
 	}
 }
+
+// TestE28SeedsDistinct: every point of E28's quick and full sweeps runs
+// from a seed of its own; a point in both sweeps keeps one seed.
+func TestE28SeedsDistinct(t *testing.T) {
+	for _, root := range []int64{1, 7, 42} {
+		owner := map[int64]scalePoint{}
+		for _, quick := range []bool{true, false} {
+			for _, p := range e28Points(quick) {
+				s := p.seed(root)
+				if q, ok := owner[s]; ok && q != p {
+					t.Errorf("root %d: E28 points %v and %v share seed %d", root, q, p, s)
+				}
+				owner[s] = p
+			}
+		}
+	}
+}

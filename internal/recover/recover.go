@@ -68,16 +68,26 @@ const (
 
 // Config configures a recovered COGCOMP run. The zero value computes a sum
 // fault-free with default budgets.
+//
+// The embedded cogcomp.Config applies as for the classic runner, except:
+//
+//   - MaxSlots bounds the whole supervised run, retries included. Zero
+//     picks a budget covering the full retry schedule. Exhausting it does
+//     not fail the run: the supervisor gives up and reports Stalled.
+//   - Sparse is ignored: the supervisor rewrites node state between
+//     slots, which voids dormancy promises, so the run steps densely.
+//   - Check also runs the recovery-safety checks: no duplicate
+//     contribution after a retry, and checkpoint-log monotonicity.
+//   - Trace also receives the recovery event stream: epoch starts,
+//     per-node checkpoints, retries, mediator re-elections and node
+//     restarts.
+//   - A Context interrupt, unlike slot-budget exhaustion, propagates as a
+//     *sim.Interrupted error wrapped with the supervisor's slot accounting.
+//
+// Reactive adversaries observe the supervised run through Observer;
+// pairing it with an adversarial Schedule closes their loop.
 type Config struct {
-	// Kappa scales phase one's length (see cogcast.SlotBound). Zero means
-	// cogcast.DefaultKappa.
-	Kappa float64
-	// Func is the aggregate to compute. Nil means aggfunc.Sum.
-	Func aggfunc.Func
-	// MaxSlots bounds the whole execution including retries. Zero picks a
-	// budget covering the full retry schedule. Exhausting it does not fail
-	// the run: the supervisor gives up and reports Stalled.
-	MaxSlots int
+	cogcomp.Config
 	// Schedule, when non-nil, injects crash-restart faults: every node is
 	// wrapped in a faults.Crasher with WithRestart, so outages cost missed
 	// slots and force recovery per the durability model above. Nil runs
@@ -86,38 +96,20 @@ type Config struct {
 	// MaxRetries bounds re-executions per epoch. Zero means
 	// DefaultMaxRetries.
 	MaxRetries int
-	// Observer, when non-nil, receives every slot's channel outcomes
-	// (cogcomp.Config.Observer, tee'd before the trace recorder and the
-	// checker). Reactive adversaries observe the supervised run through
-	// it; pairing it with an adversarial Schedule closes their loop.
-	Observer sim.Observer
 	// Backoff is the initial backoff gap in slots before an epoch retry,
 	// doubling per attempt up to a cap. Zero means DefaultBackoff.
 	Backoff int
-	// Trace, when non-nil, additionally receives the recovery event stream:
-	// epoch starts, per-node checkpoints, retries, mediator re-elections,
-	// and node restarts, interleaved with the usual COGCOMP events.
-	Trace trace.Sink
-	// Check attaches the invariant oracle plus the recovery-safety checks:
-	// no duplicate contribution after a retry, and checkpoint-log
-	// monotonicity. A violation fails the run.
-	Check bool
-	// Context, when non-nil, is checked at every slot boundary of the
-	// supervised run (sim.WithContext): a done context stops the run with
-	// a *sim.Interrupted error. Unlike slot-budget exhaustion — which the
-	// supervisor absorbs into a Stalled result — an interrupt propagates
-	// as an error, wrapped with the supervisor's slot accounting.
-	Context context.Context
 }
 
-// Result reports one recovered COGCOMP execution.
+// Result reports one recovered COGCOMP execution. The embedded
+// cogcomp.Result reads as for the classic runner, except: Value covers
+// only Contributors when Degraded and is the source's partial state, with
+// no guarantee, when Stalled; Complete also requires that nothing was
+// pruned and the run did not stall; the per-phase slot counts are per
+// epoch, retry extensions and backoff gaps included; and Mediators counts
+// the nodes holding the role at termination.
 type Result struct {
-	// Value is the aggregate held by the source at termination. When
-	// Degraded it covers only Contributors; when Stalled it is the
-	// source's partial state and carries no guarantee.
-	Value aggfunc.Value
-	// Complete reports that every node contributed (fault-free semantics).
-	Complete bool
+	cogcomp.Result
 	// Degraded reports that recovery could not restore full participation:
 	// some nodes were pruned (or the run stalled) and Value is a
 	// partial-census aggregate.
@@ -129,19 +121,6 @@ type Result struct {
 	// Contributors lists the nodes whose inputs Value aggregates, in
 	// ascending id order (all n when Complete; nil when Stalled).
 	Contributors []sim.NodeID
-	// TotalSlots is the number of slots until the run ended.
-	TotalSlots int
-	// Phase1Slots .. Phase4Slots break the run down per epoch, including
-	// any retry extensions and backoff gaps.
-	Phase1Slots, Phase2Slots, Phase3Slots, Phase4Slots int
-	// InformedAfterPhase1 counts nodes holding INIT when epoch one ended.
-	InformedAfterPhase1 int
-	// Parents is the distribution tree (sim.None for source/uninformed).
-	Parents []sim.NodeID
-	// MaxMessageSize is the largest phase-four value message any node sent.
-	MaxMessageSize int
-	// Mediators counts nodes holding the mediator role at termination.
-	Mediators int
 	// Retries counts epoch re-executions and stall-recovery rounds.
 	Retries int
 	// Reelections counts mediator re-elections.
@@ -220,8 +199,10 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, inputs []int64, seed 
 	} else {
 		a.crashers = a.crashers[:0]
 	}
-	ccfg := cogcomp.Config{Kappa: cfg.Kappa, Func: cfg.Func, Observer: cfg.Observer, Trace: cfg.Trace, Check: cfg.Check, Context: cfg.Context}
-	nodes, eng, l, err := a.comp.Prepare(asn, source, inputs, seed, ccfg, wrap)
+	// The supervisor rewrites node state between slots, which voids
+	// dormancy promises: it always steps densely.
+	cfg.Sparse = false
+	nodes, eng, l, err := a.comp.Prepare(asn, source, inputs, seed, cfg.Config, wrap)
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
 	}
@@ -816,14 +797,16 @@ func (r *run) reelectMediators() {
 func (r *run) finish() (*Result, error) {
 	total := r.eng.Slot()
 	res := &Result{
-		Value:       r.nodes[r.source].Aggregate(),
-		TotalSlots:  total,
-		Phase1Slots: r.p1end,
+		Result: cogcomp.Result{
+			Value:       r.nodes[r.source].Aggregate(),
+			TotalSlots:  total,
+			Phase1Slots: r.p1end,
+			Parents:     make([]sim.NodeID, r.n),
+		},
 		Retries:     r.retries,
 		Reelections: r.reelections,
 		Stalled:     r.stalled,
 		Degraded:    r.degraded,
-		Parents:     make([]sim.NodeID, r.n),
 	}
 	if r.p2end > 0 {
 		res.Phase2Slots = r.p2end - r.p1end

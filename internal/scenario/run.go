@@ -82,6 +82,9 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 	if sc.Protocol.Name == "experiment" {
 		return sc.executeExperiment(ctx, out)
 	}
+	if sc.Engine.Sparse && sc.Protocol.Name != "cogcomp" && sc.Protocol.Name != "session" {
+		return nil, fmt.Errorf("-sparse supports cogcomp and session, not %q", sc.Protocol.Name)
+	}
 	net, err := sc.buildNetwork(sc.Seed)
 	if err != nil {
 		return nil, err
@@ -155,8 +158,7 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 		opts := crn.BroadcastOptions{
 			Source: crn.NodeID(sc.Protocol.Source), Payload: sc.Protocol.Payload, Seed: sc.Seed,
 			RunToCompletion: true, MaxSlots: budget, Trajectory: sc.Protocol.Curve,
-			Check: sc.Engine.Check, Sparse: sc.Engine.Sparse,
-			Context: ctx,
+			Check: sc.Engine.Check, Context: ctx,
 		}
 		if traceW != nil {
 			opts.Trace = traceW
@@ -309,7 +311,6 @@ func (sc *Scenario) runRepeated(ctx context.Context, out io.Writer, budget int) 
 			res, err := net.Broadcast(crn.BroadcastOptions{
 				Source: crn.NodeID(sc.Protocol.Source), Payload: sc.Protocol.Payload, Seed: trialSeed,
 				RunToCompletion: true, MaxSlots: budget, Check: sc.Engine.Check,
-				Sparse:  sc.Engine.Sparse,
 				Context: ctx,
 			})
 			if err != nil {

@@ -206,6 +206,11 @@ func (sc *Scenario) validateEngine() error {
 	if e.Check && sc.Protocol.Name != "cogcast" && sc.Protocol.Name != "cogcomp" && sc.Protocol.Name != "session" {
 		return fmt.Errorf("scenario: engine.check: supports cogcast, cogcomp and session, not %q", sc.Protocol.Name)
 	}
+	// Only COGCOMP's census and phase-four waits leave nodes dormant; a
+	// COGCAST node acts every slot, so sparse stepping has nothing to skip.
+	if e.Sparse && sc.Protocol.Name != "cogcomp" && sc.Protocol.Name != "session" {
+		return fmt.Errorf("scenario: engine.sparse: supports cogcomp and session, not %q", sc.Protocol.Name)
+	}
 	return nil
 }
 

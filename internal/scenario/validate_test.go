@@ -102,6 +102,37 @@ func TestValidateRejects(t *testing.T) {
 			sc.Engine.Check = true
 			return sc
 		}, `scenario: engine.check: supports cogcast, cogcomp and session, not "gossip"`},
+		{"sparse on cogcast", func() *Scenario {
+			sc := base()
+			sc.Protocol.Name = "cogcast"
+			sc.Engine.Sparse = true
+			return sc
+		}, `scenario: engine.sparse: supports cogcomp and session, not "cogcast"`},
+		{"sparse on gossip", func() *Scenario {
+			sc := base()
+			sc.Protocol.Name = "gossip"
+			sc.Engine.Sparse = true
+			return sc
+		}, `scenario: engine.sparse: supports cogcomp and session, not "gossip"`},
+		{"sparse on rendezvous", func() *Scenario {
+			sc := base()
+			sc.Protocol.Name = "rendezvous"
+			sc.Engine.Sparse = true
+			return sc
+		}, `scenario: engine.sparse: supports cogcomp and session, not "rendezvous"`},
+		{"sparse on rendezvous-agg", func() *Scenario {
+			sc := base()
+			sc.Protocol.Name = "rendezvous-agg"
+			sc.Engine.Sparse = true
+			return sc
+		}, `scenario: engine.sparse: supports cogcomp and session, not "rendezvous-agg"`},
+		{"sparse on hop", func() *Scenario {
+			sc := base()
+			sc.Protocol.Name = "hop"
+			sc.Topology.Labels = "global"
+			sc.Engine.Sparse = true
+			return sc
+		}, `scenario: engine.sparse: supports cogcomp and session, not "hop"`},
 		{"outage without recovery", func() *Scenario { sc := base(); sc.Recovery.OutageRate = 0.1; return sc },
 			`scenario: recovery.outage_rate: needs recovery.enabled (the classic runner has no fault injection)`},
 		{"recovery off-cogcomp", func() *Scenario { sc := base(); sc.Recovery.Enabled = true; return sc },
@@ -263,6 +294,18 @@ func TestValidateAccepts(t *testing.T) {
 				{Kind: AsMaxRetries, Value: 5},
 				{Kind: AsValueEquals, Value: 120},
 			}
+			return sc
+		},
+		"sparse cogcomp": func() *Scenario {
+			sc := base()
+			sc.Protocol.Name = "cogcomp"
+			sc.Engine.Sparse = true
+			return sc
+		},
+		"sparse session": func() *Scenario {
+			sc := base()
+			sc.Protocol.Name = "session"
+			sc.Engine.Sparse = true
 			return sc
 		},
 		"experiment": func() *Scenario {

@@ -15,20 +15,25 @@ func (t teeObserver) OnSlot(slot int, outcomes []ChannelOutcome) {
 // Observer applies to every branch: each observer sees the same slices and
 // none may retain them. Nil arguments are dropped; Tee of zero or one
 // effective observer returns nil or that observer unwrapped, so callers
-// can compose unconditionally without paying for an empty fan-out.
+// can compose unconditionally without paying for an empty fan-out; only a
+// real fan-out allocates.
 func Tee(observers ...Observer) Observer {
-	t := make(teeObserver, 0, len(observers))
+	var last Observer
+	n := 0
+	for _, o := range observers {
+		if o != nil {
+			last = o
+			n++
+		}
+	}
+	if n <= 1 {
+		return last
+	}
+	t := make(teeObserver, 0, n)
 	for _, o := range observers {
 		if o != nil {
 			t = append(t, o)
 		}
 	}
-	switch len(t) {
-	case 0:
-		return nil
-	case 1:
-		return t[0]
-	default:
-		return t
-	}
+	return t
 }

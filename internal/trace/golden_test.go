@@ -26,8 +26,7 @@ func goldenRun(sink trace.Sink, obs sim.Observer) (*cogcast.Result, error) {
 	}
 	return cogcast.Run(asn, 0, "INIT", 7, cogcast.RunConfig{
 		UntilAllInformed: true,
-		Trace:            sink,
-		Observer:         obs,
+		Engine:           cogcast.Engine{Trace: sink, Observer: obs},
 	})
 }
 
